@@ -8,7 +8,7 @@ structure keeps the link-level information around — for every
 traverses — so the flow-based cost model can attribute offered load to
 individual links and price their congestion.
 
-Construction runs one Dijkstra per server (rooted at the server, like
+Construction makes one shortest-path call rooted at every server (like
 :func:`repro.topology.routing.all_pairs_delay`) and resolves node
 sequences to links through :meth:`NetworkGraph.links_on_path`, sharing
 its validation with the routing layer.
@@ -24,7 +24,7 @@ from repro.errors import ContentionError
 from repro.model.problem import AssignmentProblem
 from repro.topology.delay import DelayModel, TransmissionDelayModel
 from repro.topology.graph import Link, NetworkGraph
-from repro.topology.routing import routing_paths
+from repro.topology.routing import routing_paths_many
 
 
 def _canonical(link: Link) -> tuple[int, int]:
@@ -107,8 +107,11 @@ def build_incidence(
     link_index: dict[tuple[int, int], int] = {}
     columns: list[list[np.ndarray]] = []
     base = np.empty((problem.n_devices, problem.n_servers), dtype=np.float64)
+    routes = routing_paths_many(
+        graph, {server.node_id: device_nodes for server in problem.servers}, weight_fn
+    )
     for j, server in enumerate(problem.servers):
-        paths = routing_paths(graph, device_nodes, server.node_id, weight_fn)
+        paths = routes[server.node_id]
         column: list[np.ndarray] = []
         for i, source in enumerate(device_nodes):
             path = paths[source]

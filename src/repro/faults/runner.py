@@ -31,9 +31,9 @@ from repro.sim.device import IoTTrafficSource
 from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsRecorder, SimReport
 from repro.sim.network import NetworkFabric
+from repro.sim.runner import device_paths
 from repro.sim.server import EdgeServerQueue
 from repro.topology.delay import TransmissionDelayModel
-from repro.topology.routing import routing_paths
 from repro.utils.rng import derive_seed, make_rng
 from repro.utils.validation import check_nonnegative, check_positive, require
 from repro.workload.arrivals import ArrivalProcess, PoissonProcess
@@ -129,19 +129,12 @@ def simulate_with_faults(
     factory = task_factory if task_factory is not None else TaskFactory()
     sources: list[IoTTrafficSource] = []
     vector = assignment.vector
+    paths = device_paths(problem, vector, delay_model.link_weight)
     for server_index, server in enumerate(problem.servers):
-        assigned = np.flatnonzero(vector == server_index)
-        if assigned.size == 0:
-            continue
-        device_nodes = [problem.devices[int(i)].node_id for i in assigned]
-        paths = routing_paths(
-            problem.graph, device_nodes, server.node_id, delay_model.link_weight
-        )
-        for device_index in assigned:
+        for device_index in np.flatnonzero(vector == server_index):
             device = problem.devices[int(device_index)]
-            dispatcher.seed_path(
-                device.device_id, server_index, paths[device.node_id]
-            )
+            path = paths[int(device_index)]
+            dispatcher.seed_path(device.device_id, server_index, path)
             process = (arrivals or {}).get(device.device_id) or PoissonProcess(
                 device.rate_hz * rate_scale
             )
@@ -152,7 +145,7 @@ def simulate_with_faults(
                     sim=sim,
                     device=device,
                     server_id=server.server_id,
-                    path=paths[device.node_id],
+                    path=path,
                     fabric=fabric,
                     server_queue=queues[server_index],
                     arrivals=process,

@@ -2,7 +2,9 @@
 
 Each probe is a self-contained callable exercising one hot path of
 the library on a fixed tiny workload (fixed seeds, quick-scale sizes)
-so a full sweep of all probes stays in low single-digit seconds.
+so a full sweep of all probes stays in low single-digit seconds; the
+one exception, ``topology_build_wide``, builds a 2000-device instance
+so the shortest-path core is timed where its scaling shows.
 Probes measure *relative* speed across commits, not absolute paper
 numbers — the benchmark suite under ``benchmarks/`` owns those.
 
@@ -32,6 +34,25 @@ def _tiny_problem():
         tightness=0.75,
         seed=7,
         deadline_s=0.05,
+    )
+
+
+def probe_topology_build_wide() -> None:
+    """Build one 2000-device x 40-server topology instance.
+
+    The build is shortest paths end to end: spread placement over 200
+    routers, then the device x server delay matrix.  This is the probe
+    at a size where the routing core's scaling shows.
+    """
+    from repro.model.instances import topology_instance
+
+    topology_instance(
+        family="random_geometric",
+        n_routers=200,
+        n_devices=2000,
+        n_servers=40,
+        tightness=0.75,
+        seed=7,
     )
 
 
@@ -338,6 +359,7 @@ PROBES = {
     "shard_recovery_time": probe_shard_recovery_time,
     "contention_delta_eval": probe_contention_delta_eval,
     "contention_solve": probe_contention_solve,
+    "topology_build_wide": probe_topology_build_wide,
 }
 
 

@@ -153,6 +153,7 @@ class ShardRouter:
         self._trips_seen: "dict[str, int]" = {}  # breaker trips published
         self._rebalance_task: "asyncio.Task | None" = None
         self._cleanup_tasks: "set[asyncio.Task]" = set()
+        self._abandoned: "set[asyncio.Task]" = set()  # hedge losers in flight
         self._started = False
         self._assign_seq = 0
         self.spillovers_total = 0
@@ -182,7 +183,7 @@ class ShardRouter:
             )
 
     async def stop(self) -> None:
-        """Stop the rebalance loop and close every backend."""
+        """Stop the rebalance loop, drain hedge losers, close every backend."""
         self._started = False
         if self._rebalance_task is not None:
             self._rebalance_task.cancel()
@@ -191,11 +192,12 @@ class ShardRouter:
             except asyncio.CancelledError:
                 pass
             self._rebalance_task = None
-        if self._cleanup_tasks:
-            # let in-flight hedge-loser / ghost releases settle so they
-            # don't race the backend close below
+        # let abandoned hedge losers land and their clean-up / ghost
+        # releases settle so they don't race the backend close below; a
+        # landing loser spawns a new clean-up, so drain until both are empty
+        while self._abandoned or self._cleanup_tasks:
             await asyncio.gather(
-                *tuple(self._cleanup_tasks), return_exceptions=True
+                *self._abandoned, *self._cleanup_tasks, return_exceptions=True
             )
         for backend in self.backends.values():
             await backend.close()
@@ -550,6 +552,8 @@ class ShardRouter:
                         name, device, obs_names.SHARD_HEDGE_CLEANUPS
                     )
             task.add_done_callback(_reap)
+            self._abandoned.add(task)
+            task.add_done_callback(self._abandoned.discard)
         tasks.clear()
 
     def _spawn_cleanup(self, name: str, device: int, metric: str) -> None:

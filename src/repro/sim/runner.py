@@ -25,11 +25,38 @@ from repro.sim.network import NetworkFabric
 from repro.sim.server import EdgeServerQueue
 from repro.sim.device import IoTTrafficSource
 from repro.topology.delay import TransmissionDelayModel
-from repro.topology.routing import routing_paths
+from repro.topology.routing import Path, WeightFn, routing_paths_many
 from repro.utils.rng import derive_seed, make_rng
 from repro.utils.validation import check_nonnegative, check_positive, require
 from repro.workload.arrivals import ArrivalProcess, PoissonProcess
 from repro.workload.tasks import TaskFactory
+
+
+def device_paths(
+    problem: AssignmentProblem, vector: np.ndarray, weight_fn: WeightFn
+) -> dict[int, Path]:
+    """Each assigned device's packet route to its server, by device index.
+
+    One shortest-path call covers every server that has devices.
+    """
+    def node(i) -> int:
+        return problem.devices[int(i)].node_id
+
+    groups = {
+        problem.servers[j].node_id: np.flatnonzero(vector == j)
+        for j in range(len(problem.servers))
+    }
+    groups = {server: assigned for server, assigned in groups.items() if assigned.size}
+    routes = routing_paths_many(
+        problem.graph,
+        {server: [node(i) for i in assigned] for server, assigned in groups.items()},
+        weight_fn,
+    )
+    return {
+        int(i): routes[server][node(i)]
+        for server, assigned in groups.items()
+        for i in assigned
+    }
 
 
 def simulate_assignment(
@@ -95,19 +122,12 @@ def simulate_assignment(
             )
         )
 
-    # one Dijkstra per server covers every device assigned to it
     factory = task_factory if task_factory is not None else TaskFactory()
     sources: list[IoTTrafficSource] = []
     vector = assignment.vector
+    paths = device_paths(problem, vector, delay_model.link_weight)
     for server_index, server in enumerate(problem.servers):
-        assigned = np.flatnonzero(vector == server_index)
-        if assigned.size == 0:
-            continue
-        device_nodes = [problem.devices[int(i)].node_id for i in assigned]
-        paths = routing_paths(
-            problem.graph, device_nodes, server.node_id, delay_model.link_weight
-        )
-        for device_index in assigned:
+        for device_index in np.flatnonzero(vector == server_index):
             device = problem.devices[int(device_index)]
             process = (arrivals or {}).get(device.device_id) or PoissonProcess(
                 device.rate_hz * rate_scale
@@ -121,7 +141,7 @@ def simulate_assignment(
                     sim=sim,
                     device=device,
                     server_id=server.server_id,
-                    path=paths[device.node_id],
+                    path=paths[int(device_index)],
                     fabric=fabric,
                     server_queue=queues[server_index],
                     arrivals=process,

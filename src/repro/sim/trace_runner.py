@@ -10,17 +10,15 @@ EXPERIMENTS.md cross-checks against.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ValidationError
 from repro.model.solution import Assignment
 from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsRecorder, SimReport
 from repro.sim.network import NetworkFabric
+from repro.sim.runner import device_paths
 from repro.sim.server import EdgeServerQueue
 from repro.sim.task import Task
 from repro.topology.delay import TransmissionDelayModel
-from repro.topology.routing import routing_paths
 from repro.utils.rng import derive_seed, make_rng
 from repro.utils.validation import check_nonnegative
 from repro.workload.traces import Trace
@@ -70,20 +68,8 @@ def replay_trace(
             )
         )
 
-    # routing: one Dijkstra per server, shared across its devices
     vector = assignment.vector
-    paths: dict[int, object] = {}
-    for server_index, server in enumerate(problem.servers):
-        assigned = np.flatnonzero(vector == server_index)
-        if assigned.size == 0:
-            continue
-        nodes = [problem.devices[int(i)].node_id for i in assigned]
-        per_server = routing_paths(
-            problem.graph, nodes, server.node_id, delay_model.link_weight
-        )
-        for device_index in assigned:
-            node = problem.devices[int(device_index)].node_id
-            paths[int(device_index)] = per_server[node]
+    paths = device_paths(problem, vector, delay_model.link_weight)
 
     for task_id, entry in enumerate(trace.entries):
         device = device_by_id[entry.device_id]

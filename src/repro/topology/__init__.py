@@ -7,7 +7,7 @@ that substrate:
 
 * :mod:`repro.topology.graph` — the graph model (nodes, links, roles)
 * :mod:`repro.topology.generators` — standard topology families
-* :mod:`repro.topology.routing` — Dijkstra shortest paths
+* :mod:`repro.topology.routing` — one csgraph shortest-path core
 * :mod:`repro.topology.delay` — link/path delay models and the
   device × server delay matrix
 * :mod:`repro.topology.placement` — edge-server placement strategies

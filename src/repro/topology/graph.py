@@ -247,15 +247,8 @@ class NetworkGraph:
 
     def links(self) -> list[Link]:
         """Each undirected link exactly once, in (u, v) order."""
-        seen: set[tuple[int, int]] = set()
-        result: list[Link] = []
-        for u in sorted(self._adj):
-            for v, link in sorted(self._adj[u].items()):
-                key = (min(u, v), max(u, v))
-                if key not in seen:
-                    seen.add(key)
-                    result.append(link)
-        return result
+        pairs = sorted((u, v) for u, nbrs in self._adj.items() for v in nbrs if u < v)
+        return [self._adj[u][v] for u, v in pairs]
 
     @property
     def n_nodes(self) -> int:

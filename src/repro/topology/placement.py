@@ -27,23 +27,15 @@ from repro.errors import TopologyError
 from repro.topology.delay import TransmissionDelayModel
 from repro.topology.generators import SERVER_ATTACH, LinkProfile
 from repro.topology.graph import NetworkGraph, NodeKind
-from repro.topology.routing import dijkstra
+from repro.topology.routing import _solve
 from repro.utils.rng import make_rng
 from repro.utils.validation import require
 
 
 def _router_delay_matrix(graph: NetworkGraph, routers: list[int]) -> np.ndarray:
     """Router-to-router routed delay matrix under the default delay model."""
-    model = TransmissionDelayModel()
-    index = {router: i for i, router in enumerate(routers)}
-    matrix = np.full((len(routers), len(routers)), np.inf)
-    for i, source in enumerate(routers):
-        distance, _ = dijkstra(graph, source, model.link_weight)
-        for target, dist in distance.items():
-            j = index.get(target)
-            if j is not None:
-                matrix[i, j] = dist
-    return matrix
+    _, col, dist, _ = _solve(graph, routers, TransmissionDelayModel().link_weight)
+    return dist[:, [col(router) for router in routers]]
 
 
 def _choose_random(routers: list[int], m: int, rng: np.random.Generator, graph) -> list[int]:

@@ -107,16 +107,15 @@ def path_length_profile(graph: NetworkGraph) -> dict[str, float]:
     Quantifies how 'deep' devices sit relative to the cluster — the
     structural property that separates topology families in F7.
     """
-    from repro.topology.routing import dijkstra
+    from repro.topology.routing import _solve
 
     devices = graph.node_ids(NodeKind.IOT_DEVICE)
     servers = graph.node_ids(NodeKind.EDGE_SERVER)
     if not devices or not servers:
         return {}
-    hops: list[float] = []
-    for server in servers:
-        distance, _ = dijkstra(graph, server, lambda link: 1.0)
-        hops.extend(distance[d] for d in devices if d in distance)
+    _, col, dist, _ = _solve(graph, servers, lambda link: 1.0)
+    hops = dist[:, [col(d) for d in devices]].ravel()
+    hops = hops[np.isfinite(hops)].tolist()  # unreachable devices are skipped
     stats = summarize(hops)
     return {
         "mean_hops": stats.mean,

@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import DeadlineExceededError
 from repro.model.instances import topology_instance
+from repro.model.solution import UNASSIGNED
 from repro.serve.loadtest import generate_trace, replay_serial
 from repro.serve.protocol import Request
 from repro.serve.server import TCPServer, open_client
@@ -302,6 +303,64 @@ class TestHedgeLoserReap:
                 assert stats["per_shard"][name]["active_devices"] == 0
             finally:
                 await shutdown(services, router)
+
+        run(scenario())
+
+
+class SlowAnswerBackend(RecordingBackend):
+    """Applies an assign at once but holds its answer for ``delay_s``."""
+
+    delay_s = 0.0
+
+    async def request(self, request):
+        response = await super().request(request)
+        if request.op == "assign":
+            await asyncio.sleep(self.delay_s)
+        return response
+
+
+class TestStopDrainsHedgeLosers:
+    def test_stop_waits_for_a_landing_loser_and_its_release(self):
+        # the home shard applies the assign but its answer is held, so
+        # the router hedges to the next shard, which wins.  stop() runs
+        # while the loser is still in flight: it must wait for the
+        # loser to land and for the clean-up release that landing
+        # spawns (regression: stop() saw no clean-up task yet, returned,
+        # and the device stayed held on two shards)
+        async def scenario():
+            problem = make_problem()
+            plan = build_plan(problem, 3)
+            services, backends = {}, {}
+            for spec in plan.shards:
+                service = AssignmentService(
+                    plan.subproblem(problem, spec.name),
+                    ServiceConfig(max_wait_s=0.0),
+                )
+                await service.start()
+                services[spec.name] = service
+                backends[spec.name] = SlowAnswerBackend(spec.name, service)
+            home = plan.shards[0].name
+            backends[home].delay_s = 0.3
+            router = ShardRouter(plan, backends)
+            await router.start()
+            try:
+                device = int(plan.devices_of_shard(home)[0])
+                response = await router.request(
+                    Request(op="assign", device=device))
+                assert response.ok
+                assert router.hedge_wins_total == 1
+                await router.stop()
+                copies = sum(
+                    (s.state.vector != UNASSIGNED).astype(int)
+                    for s in services.values()
+                )
+                # the one held device sits on exactly one shard
+                assert np.flatnonzero(copies).tolist() == [device]
+                assert copies[device] == 1
+            finally:
+                for service in services.values():
+                    if service.started:
+                        await service.stop()
 
         run(scenario())
 
