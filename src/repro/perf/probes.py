@@ -2,9 +2,11 @@
 
 Each probe is a self-contained callable exercising one hot path of
 the library on a fixed tiny workload (fixed seeds, quick-scale sizes)
-so a full sweep of all probes stays in low single-digit seconds; the
-one exception, ``topology_build_wide``, builds a 2000-device instance
-so the shortest-path core is timed where its scaling shows.
+so a full sweep of all probes stays in low single-digit seconds.  Two
+probes are larger on purpose, so a core is timed where its scaling
+shows: ``topology_build_wide`` builds a 2000-device instance (the
+shortest-path core), and ``solve_local_search_mid`` runs local search
+on a 400-device instance (the move-delta kernel).
 Probes measure *relative* speed across commits, not absolute paper
 numbers — the benchmark suite under ``benchmarks/`` owns those.
 
@@ -16,6 +18,7 @@ for short benchmarks (interference only ever adds time).
 
 from __future__ import annotations
 
+import functools
 import time
 
 from repro.utils.validation import require
@@ -68,6 +71,31 @@ def probe_solve_local_search() -> None:
     from repro.solvers.registry import get_solver
 
     get_solver("local_search", seed=7).solve(_tiny_problem())
+
+
+@functools.lru_cache(maxsize=1)
+def _mid_problem():
+    from repro.model.instances import topology_instance
+
+    return topology_instance(
+        family="random_geometric",
+        n_routers=120,
+        n_devices=400,
+        n_servers=16,
+        tightness=0.75,
+        seed=7,
+    )
+
+
+def probe_solve_local_search_mid() -> None:
+    """One local-search solve on a 400-device x 16-server instance.
+
+    Times the move-delta scan where it dominates; the instance is built
+    once (during the warm-up run) and not timed.
+    """
+    from repro.solvers.registry import get_solver
+
+    get_solver("local_search", seed=7).solve(_mid_problem())
 
 
 def probe_sim_short() -> None:
@@ -349,6 +377,7 @@ def probe_contention_solve() -> None:
 PROBES = {
     "solve_greedy": probe_solve_greedy,
     "solve_local_search": probe_solve_local_search,
+    "solve_local_search_mid": probe_solve_local_search_mid,
     "sim_short": probe_sim_short,
     "engine_grid": probe_engine_grid,
     "serve_loadtest_p99": probe_serve_loadtest_p99,

@@ -28,14 +28,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.model.problem import AssignmentProblem
+from repro.model.solution import Assignment
 from repro.rl.env import AssignmentEnv
 from repro.rl.qlearning import QLearningSolver
-from repro.solvers.local_search import (
-    _apply_shift,
-    _apply_swap,
-    _shift_delta,
-    _swap_delta,
-)
+from repro.solvers.local_search import descend
 from repro.utils.validation import check_positive
 
 
@@ -107,32 +103,9 @@ def polish_assignment(
 
     Small helper shared by the TACC polish step and the dynamic
     reconfiguration controller (which polishes incumbent assignments
-    after mobility shifts instead of re-solving from scratch).
+    after mobility shifts instead of re-solving from scratch).  Shed
+    (unassigned, ``-1``) devices stay shed and carry no load.
     """
     vector = np.asarray(vector, dtype=np.int64).copy()
-    loads = np.zeros(problem.n_servers)
-    np.add.at(loads, vector, problem.demand[np.arange(problem.n_devices), vector])
-    n, m = problem.n_devices, problem.n_servers
-    for _ in range(max_passes):
-        best_delta = -1e-15
-        best_move = None
-        for device in range(n):
-            for server in range(m):
-                delta = _shift_delta(problem, vector, loads, device, server)
-                if delta is not None and delta < best_delta:
-                    best_delta = delta
-                    best_move = ("shift", device, server)
-        for a in range(n):
-            for b in range(a + 1, n):
-                delta = _swap_delta(problem, vector, loads, a, b)
-                if delta is not None and delta < best_delta:
-                    best_delta = delta
-                    best_move = ("swap", a, b)
-        if best_move is None:
-            break
-        kind, x, y = best_move
-        if kind == "shift":
-            _apply_shift(problem, vector, loads, x, y)
-        else:
-            _apply_swap(problem, vector, loads, x, y)
+    descend(problem, vector, Assignment(problem, vector).loads(), max_passes)
     return vector

@@ -20,7 +20,6 @@ import numpy as np
 from repro.model.problem import AssignmentProblem
 from repro.model.solution import Assignment
 from repro.rl.qlearning import QLearningSolver
-from repro.solvers.greedy import feasible_start
 
 
 class DoubleQLearningSolver(QLearningSolver):
@@ -82,17 +81,5 @@ class DoubleQLearningSolver(QLearningSolver):
                 best_cost = result.total_delay
                 best_vector = result.vector
 
-        if best_vector is None:
-            return feasible_start(problem, rng), {
-                "iterations": self.episodes,
-                "episode_costs": episode_costs,
-                "dead_ends": dead_ends,
-                "fallback": True,
-            }
-        best_vector = self._post_process(problem, best_vector)
-        return Assignment(problem, best_vector), {
-            "iterations": self.episodes,
-            "episode_costs": episode_costs,
-            "dead_ends": dead_ends,
-            "q_states": len(table_a) + len(table_b),
-        }
+        q_states = len(table_a) + len(table_b)
+        return self._outcome(problem, rng, best_vector, episode_costs, dead_ends, q_states)

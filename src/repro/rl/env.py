@@ -101,6 +101,8 @@ class AssignmentEnv:
         self.vector = np.full(self.problem.n_devices, -1, dtype=np.int64)
         self.done = False
         self.dead_end = False
+        self._actions: "np.ndarray | None" = None
+        self._buckets = [self._bucket(server) for server in range(self.n_actions)]
         return self.state_key()
 
     # ------------------------------------------------------------------
@@ -112,8 +114,11 @@ class AssignmentEnv:
         return self.problem.demand[device] <= self.residual + 1e-12
 
     def feasible_actions(self) -> np.ndarray:
-        """Indices of allowed servers (empty = dead end)."""
-        return np.flatnonzero(self.action_mask())
+        """Indices of allowed servers (empty = dead end); read-only, once per step."""
+        if self._actions is None:
+            self._actions = self.action_mask().nonzero()[0]
+            self._actions.setflags(write=False)
+        return self._actions
 
     def state_key(self) -> tuple:
         """Hashable abstract state: (step, quantized residual fractions).
@@ -121,22 +126,22 @@ class AssignmentEnv:
         Residual capacity of each server is quantized to
         ``load_buckets`` levels; the exact value matters less than the
         coarse "how full is each server" picture, and quantization is
-        what keeps the Q-table tractable.
+        what keeps the Q-table tractable.  :meth:`step` re-quantizes
+        only the stepped server.
         """
-        # a failed (zero-capacity) server reads as permanently full
-        capacity = np.where(self.problem.capacity > 0, self.problem.capacity, 1.0)
-        fractions = np.clip(
-            np.where(self.problem.capacity > 0, self.residual / capacity, 0.0),
-            0.0,
-            1.0,
-        )
-        buckets = np.minimum(
-            (fractions * self.load_buckets).astype(np.int64), self.load_buckets - 1
-        )
-        # a fully-empty server is informative: give exactly-full residual
-        # its own top bucket value
-        buckets[fractions >= 1.0 - 1e-12] = self.load_buckets - 1
-        return (self.t, tuple(int(b) for b in buckets))
+        return (self.t, tuple(self._buckets))
+
+    def _bucket(self, server: int) -> int:
+        """Quantized residual fraction of one server."""
+        capacity = self.problem.capacity[server]
+        if capacity <= 0:
+            return 0  # a failed (zero-capacity) server reads as permanently full
+        fraction = min(max(self.residual[server] / capacity, 0.0), 1.0)
+        # an untouched server (fraction 1.0) lands in the top bucket, which
+        # it shares with every fraction >= 1 - 1/load_buckets
+        if fraction >= 1.0 - 1e-12:
+            return self.load_buckets - 1
+        return min(int(fraction * self.load_buckets), self.load_buckets - 1)
 
     # ------------------------------------------------------------------
     def step(self, action: int) -> tuple[tuple, float, bool, dict]:
@@ -162,6 +167,8 @@ class AssignmentEnv:
             reward -= self.overload_penalty * overflow / float(np.mean(self.problem.demand))
         self.vector[device] = action
         self.residual[action] -= demand
+        self._buckets[action] = self._bucket(action)
+        self._actions = None
         self.t += 1
         info: dict = {}
         if self.t >= self.n_steps:

@@ -189,19 +189,15 @@ class QLearningSolver(Solver):
                         best_vector = result.vector
 
         registry.gauge(obs_names.RL_Q_STATES, labels).set(len(q_table))
+        return self._outcome(problem, rng, best_vector, episode_costs, dead_ends, len(q_table))
+
+    def _outcome(
+        self, problem: AssignmentProblem, rng, best_vector, episode_costs, dead_ends, q_states
+    ) -> tuple[Assignment, dict]:
+        """The polished best episode, or the feasible start when no episode was feasible."""
+        info = {"iterations": self.episodes, "episode_costs": episode_costs, "dead_ends": dead_ends}
         if best_vector is None:
-            fallback = feasible_start(problem, rng)
-            return fallback, {
-                "iterations": self.episodes,
-                "episode_costs": episode_costs,
-                "dead_ends": dead_ends,
-                "fallback": True,
-            }
+            return feasible_start(problem, rng), {**info, "fallback": True}
         with self.phase("polish"):
             best_vector = self._post_process(problem, best_vector)
-        return Assignment(problem, best_vector), {
-            "iterations": self.episodes,
-            "episode_costs": episode_costs,
-            "dead_ends": dead_ends,
-            "q_states": len(q_table),
-        }
+        return Assignment(problem, best_vector), {**info, "q_states": q_states}

@@ -19,7 +19,6 @@ import numpy as np
 from repro.model.problem import AssignmentProblem
 from repro.model.solution import Assignment
 from repro.rl.qlearning import QLearningSolver
-from repro.solvers.greedy import feasible_start
 
 
 class SarsaSolver(QLearningSolver):
@@ -79,17 +78,4 @@ class SarsaSolver(QLearningSolver):
                 best_cost = result.total_delay
                 best_vector = result.vector
 
-        if best_vector is None:
-            return feasible_start(problem, rng), {
-                "iterations": self.episodes,
-                "episode_costs": episode_costs,
-                "dead_ends": dead_ends,
-                "fallback": True,
-            }
-        best_vector = self._post_process(problem, best_vector)
-        return Assignment(problem, best_vector), {
-            "iterations": self.episodes,
-            "episode_costs": episode_costs,
-            "dead_ends": dead_ends,
-            "q_states": len(q_table),
-        }
+        return self._outcome(problem, rng, best_vector, episode_costs, dead_ends, len(q_table))

@@ -11,11 +11,23 @@ a recency-based tabu list with aspiration.  Both maintain feasibility
 invariantly — a move is only a candidate if it keeps every server
 within capacity — so they inherit the paper's "never overloaded"
 guarantee from their feasible starting point.
+
+One numpy kernel scores every move: :func:`shift_deltas` (n×m) and
+:func:`swap_deltas` (upper-triangular n×n, built in row blocks of at
+most ~1M entries), ``+inf`` where a move is infeasible, stays put or
+touches an unassigned device.  :func:`best_move` takes exactly the move
+the scalar row-major scan with strict ``<`` takes: deltas and loads use
+the scalar operand order, the first minimum wins, a swap beats a shift
+only if strictly smaller, and a move must beat ``-1e-15``.
+:func:`descend` is the descent of local search and of
+:func:`repro.rl.agent.polish_assignment`.  The scalar
+:func:`_shift_delta` / :func:`_swap_delta` remain as the test oracle.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 
 import numpy as np
 
@@ -53,12 +65,8 @@ def _swap_delta(problem: AssignmentProblem, vector, loads, a: int, b: int):
     load_b = loads[sb] - problem.demand[b, sb] + problem.demand[a, sb]
     if load_a > problem.capacity[sa] + 1e-12 or load_b > problem.capacity[sb] + 1e-12:
         return None
-    return (
-        problem.delay[a, sb]
-        + problem.delay[b, sa]
-        - problem.delay[a, sa]
-        - problem.delay[b, sb]
-    )
+    delay = problem.delay
+    return delay[a, sb] + delay[b, sa] - delay[a, sa] - delay[b, sb]
 
 
 def _apply_swap(problem: AssignmentProblem, vector, loads, a: int, b: int) -> None:
@@ -66,6 +74,82 @@ def _apply_swap(problem: AssignmentProblem, vector, loads, a: int, b: int) -> No
     loads[sa] += problem.demand[b, sa] - problem.demand[a, sa]
     loads[sb] += problem.demand[a, sb] - problem.demand[b, sb]
     vector[a], vector[b] = sb, sa
+
+
+#: entries per row block of the swap matrix (bounds kernel memory)
+_BLOCK_ENTRIES = 1 << 20
+
+
+def shift_deltas(problem: AssignmentProblem, vector, loads) -> np.ndarray:
+    """n×m shift deltas; ``+inf`` where infeasible or already there."""
+    rows = np.arange(vector.size)
+    current = np.where(vector >= 0, vector, 0)
+    deltas = problem.delay - problem.delay[rows, current][:, None]
+    deltas[loads + problem.demand > problem.capacity + 1e-12] = np.inf
+    deltas[rows, current] = np.inf
+    deltas[vector < 0] = np.inf
+    return deltas
+
+
+def _swap_blocks(problem: AssignmentProblem, vector, loads):
+    """Yield ``("swap", first_row, block)`` row blocks of the swap matrix."""
+    n = vector.size
+    rows = np.arange(n)
+    assigned = vector >= 0
+    server = np.where(assigned, vector, 0)
+    own_delay = problem.delay[rows, server]
+    spare = loads[server] - problem.demand[rows, server]
+    room = problem.capacity[server] + 1e-12
+    step = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, n, step):
+        a = slice(start, start + step)  # block rows are devices a, columns b
+        sa = server[a]
+        deltas = (
+            problem.delay[a][:, server] + problem.delay[:, sa].T
+        ) - own_delay[a, None] - own_delay
+        deltas[
+            (spare[a, None] + problem.demand[:, sa].T > room[a, None])
+            | (spare + problem.demand[a][:, server] > room)
+            | (sa[:, None] == server)
+            | (rows <= rows[a, None])
+            | ~(assigned[a, None] & assigned)
+        ] = np.inf
+        yield "swap", start, deltas
+
+
+def swap_deltas(problem: AssignmentProblem, vector, loads) -> np.ndarray:
+    """Upper-triangular n×n swap deltas; ``+inf`` elsewhere and where infeasible."""
+    return np.concatenate([block for *_, block in _swap_blocks(problem, vector, loads)])
+
+
+def best_move(problem: AssignmentProblem, vector, loads, use_swaps: bool = True):
+    """``(kind, x, y, delta)`` of the best move beating ``-1e-15``, or None."""
+    best, move = -1e-15, None
+    blocks = [("shift", 0, shift_deltas(problem, vector, loads))]
+    if use_swaps:
+        blocks = chain(blocks, _swap_blocks(problem, vector, loads))
+    for kind, start, deltas in blocks:
+        flat = int(np.argmin(deltas))  # the first row-major minimum
+        if deltas.flat[flat] < best:
+            best = deltas.flat[flat]
+            move = (kind, start + flat // deltas.shape[1], flat % deltas.shape[1], best)
+    return move
+
+
+def descend(
+    problem: AssignmentProblem, vector, loads, max_passes: int, use_swaps: bool = True
+) -> int:
+    """Apply up to ``max_passes`` best moves in place; returns how many.
+
+    Unassigned devices are never moved and carry no load.
+    """
+    for moves in range(max_passes):
+        move = best_move(problem, vector, loads, use_swaps)
+        if move is None:
+            return moves
+        kind, x, y, _ = move
+        (_apply_shift if kind == "shift" else _apply_swap)(problem, vector, loads, x, y)
+    return max_passes
 
 
 class LocalSearchSolver(Solver):
@@ -103,38 +187,11 @@ class LocalSearchSolver(Solver):
         if not assignment.is_complete:
             return assignment, {"iterations": 0}
         vector = assignment.vector
-        loads = assignment.loads()
-        n, m = problem.n_devices, problem.n_servers
-        passes = 0
-        moves = 0
-        improved = True
         with self.phase("descend"):
-            while improved and passes < self.max_passes:
-                passes += 1
-                improved = False
-                best_delta = -1e-15
-                best_move = None
-                for device in range(n):
-                    for server in range(m):
-                        delta = _shift_delta(problem, vector, loads, device, server)
-                        if delta is not None and delta < best_delta:
-                            best_delta = delta
-                            best_move = ("shift", device, server)
-                if self.use_swaps:
-                    for a in range(n):
-                        for b in range(a + 1, n):
-                            delta = _swap_delta(problem, vector, loads, a, b)
-                            if delta is not None and delta < best_delta:
-                                best_delta = delta
-                                best_move = ("swap", a, b)
-                if best_move is not None:
-                    kind, x, y = best_move
-                    if kind == "shift":
-                        _apply_shift(problem, vector, loads, x, y)
-                    else:
-                        _apply_swap(problem, vector, loads, x, y)
-                    moves += 1
-                    improved = True
+            moves = descend(
+                problem, vector, assignment.loads(), self.max_passes, self.use_swaps
+            )
+        passes = min(moves + 1, self.max_passes)
         return Assignment(problem, vector), {"iterations": moves, "passes": passes}
 
 
@@ -173,23 +230,15 @@ class TabuSearchSolver(Solver):
         with self.phase("search"):
             for _ in range(self.max_iters):
                 iterations += 1
-                best_delta = np.inf
-                best_move = None
-                for device in range(n):
-                    for server in range(m):
-                        delta = _shift_delta(problem, vector, loads, device, server)
-                        if delta is None:
-                            continue
-                        is_tabu = (device, server) in tabu_set
-                        aspires = cost + delta < best_cost - 1e-15
-                        if is_tabu and not aspires:
-                            continue
-                        if delta < best_delta:
-                            best_delta = delta
-                            best_move = (device, server)
-                if best_move is None:
+                deltas = shift_deltas(problem, vector, loads)
+                for device, server in tabu_set:
+                    if not cost + deltas[device, server] < best_cost - 1e-15:
+                        deltas[device, server] = np.inf  # tabu and not aspiring
+                flat = int(np.argmin(deltas))
+                best_delta = deltas.flat[flat]
+                if best_delta == np.inf:
                     break  # every move tabu and non-aspiring: stagnated
-                device, server = best_move
+                device, server = divmod(flat, m)
                 previous = int(vector[device])
                 _apply_shift(problem, vector, loads, device, server)
                 cost += best_delta

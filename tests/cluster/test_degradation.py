@@ -120,3 +120,19 @@ class TestControllerDegradedPath:
             decision = controller.observe(1, problem, failed={unused[0]})
             assert not decision.reconfigured
             assert np.array_equal(decision.vector, init.vector)
+
+    def test_polish_epoch_after_shedding_keeps_shed_devices_out(self):
+        problem = random_instance(20, 4, tightness=0.6, seed=3)
+        controller = ReconfigurationController(
+            get_solver("greedy", seed=1), strategy="polish"
+        )
+        controller.initialize(problem)
+        degraded = controller.observe(1, problem, failed={1, 2})
+        shed = degraded.vector == UNASSIGNED
+        assert degraded.shed == int(np.count_nonzero(shed)) > 0
+        # the next healthy epoch polishes the served devices only
+        polished = controller.observe(2, problem)
+        assert np.all(polished.vector[shed] == UNASSIGNED)
+        loads = Assignment(problem, polished.vector).loads()
+        assert np.all(loads <= problem.capacity + 1e-9)
+        assert polished.cost <= Assignment(problem, degraded.vector).total_delay() + 1e-12

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.model.instances import gap_instance, random_instance, topology_instance
+from repro.model.problem import AssignmentProblem
+from repro.model.solution import UNASSIGNED
 from repro.rl.agent import TaccSolver, polish_assignment
 from repro.rl.qlearning import QLearningSolver
 from repro.solvers.exact import BranchAndBoundSolver
@@ -106,3 +108,18 @@ class TestPolishAssignment:
         start = greedy_feasible_assignment(small_problem).vector
         polished = polish_assignment(small_problem, start, max_passes=0)
         assert np.all(polished == start)
+
+    def test_shed_devices_stay_shed_and_carry_no_load(self):
+        problem = random_instance(20, 4, tightness=0.6, seed=3)
+        start = greedy_feasible_assignment(problem).vector
+        start[[0, 5, 9]] = UNASSIGNED
+        polished = polish_assignment(problem, start, 30)
+        assert np.all(polished[[0, 5, 9]] == UNASSIGNED)
+        # the served devices descend exactly as if the shed ones were absent
+        served = np.flatnonzero(start != UNASSIGNED)
+        alone = AssignmentProblem(
+            delay=problem.delay[served],
+            demand=problem.demand[served],
+            capacity=problem.capacity,
+        )
+        assert np.array_equal(polished[served], polish_assignment(alone, start[served], 30))
