@@ -111,7 +111,7 @@ def _worker(payload: tuple) -> tuple:
                 with obs_runtime.observed() as session:
                     rows, profile_stats = _execute(spec, timeout_s, profile)
                     obs_state = session.registry.dump_state()
-                    spans = [span.as_dict() for span in session.tracer.roots]
+                    spans = [record.to_dict() for record in session.spans()]
             else:
                 rows, profile_stats = _execute(spec, timeout_s, profile)
         error = None

@@ -12,8 +12,8 @@ misses, queue wait, job runtime, worker utilization) is recorded on
 the parent's :mod:`repro.obs` registry.  When observability is
 enabled, each worker's own solver/sim/RL telemetry — collected under
 a worker-local registry (see :mod:`repro.engine.pool`) — is folded
-into the parent registry as outcomes arrive, and worker span trees
-are adopted by the parent tracer; cache hits recompute nothing and
+into the parent registry as outcomes arrive, and worker span records
+are adopted by the parent's span recorder; cache hits recompute nothing and
 therefore contribute no solver/sim samples.  Run-lifecycle events
 (``run_start``, per-job ``job_start``/``job_end``, ``cache_hit``,
 ``run_end``) stream to the active :mod:`repro.obs.ledger`.

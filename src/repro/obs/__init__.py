@@ -79,7 +79,6 @@ from repro.obs.trace import (
     render_waterfall,
     trace_ids,
 )
-from repro.obs.tracing import NullTracer, Span, Tracer
 
 __all__ = [
     "names",
@@ -92,11 +91,7 @@ __all__ = [
     "NullRegistry",
     "default_buckets",
     "snapshot_delta",
-    # tracing
-    "Span",
-    "Tracer",
-    "NullTracer",
-    # distributed tracing (cross-process spans)
+    # spans: one record model, in-process and cross-process
     "TraceContext",
     "TraceSampler",
     "SpanRecord",

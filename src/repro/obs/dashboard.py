@@ -2,15 +2,16 @@
 
 Takes the plain-dict shape produced by :func:`repro.obs.sinks.collect`
 or :func:`repro.obs.sinks.load_jsonl` and renders sections for span
-trees, counters, gauges, and distribution instruments, reusing the
-repo's table/chart helpers so the output matches the experiment
-tooling.
+trees (span records stitched by :func:`repro.obs.trace.build_trace`),
+counters, gauges, and distribution instruments, reusing the repo's
+table/chart helpers so the output matches the experiment tooling.
 """
 
 from __future__ import annotations
 
 import math
 
+from repro.obs.trace import SpanRecord, _walk, build_trace, trace_ids
 from repro.utils.ascii_plot import line_chart
 from repro.utils.tables import format_table
 
@@ -27,20 +28,24 @@ def _fmt_seconds(seconds: float) -> str:
     return f"{seconds * 1e6:.1f} us"
 
 
-def render_span_tree(trees: list[dict]) -> str:
-    """Indented listing of span trees with durations and status."""
+def render_span_tree(spans: "list[dict]") -> str:
+    """Indented listing of span records (``SpanRecord.to_dict`` payloads),
+    stitched into trees, with durations and status."""
+    records = [SpanRecord.from_dict(payload) for payload in spans]
+    by_trace: "dict[str, list[SpanRecord]]" = {}
+    for record in records:
+        by_trace.setdefault(record.trace_id, []).append(record)
     rows: list[list] = []
-
-    def walk(node: dict, depth: int) -> None:
-        """Return walk."""
-        label = "  " * depth + node.get("name", "?")
-        status = node.get("status", "ok")
-        rows.append([label, _fmt_seconds(node.get("duration_s", 0.0)), status])
-        for child in node.get("children", []):
-            walk(child, depth + 1)
-
-    for tree in trees:
-        walk(tree, 0)
+    for trace_id in trace_ids(records):
+        roots, _ = build_trace(by_trace[trace_id], trace_id)
+        for root in roots:
+            for node, depth in _walk(root):
+                record = node.record
+                rows.append([
+                    "  " * depth + record.name,
+                    _fmt_seconds(record.duration_ms / 1e3),
+                    record.status,
+                ])
     return format_table(["span", "duration", "status"], rows)
 
 

@@ -18,10 +18,12 @@ the fault layer emits ``fault``, ``task_timeout``, ``task_retry``,
 method call when no ledger is active — the same null-twin discipline
 as the metrics registry.
 
-Writes are line-buffered appends under a lock, so a crashed run keeps
-every event up to the crash.  Events recorded inside pool *workers*
-are not captured (workers are ledger-silent by design, like the cache);
-the parent records the job lifecycle on their behalf.
+Writes go through :class:`JsonlAppender` — line-buffered appends under
+a lock, a header only on an empty file — so a crashed run keeps every
+event up to the crash.  The per-process span files of
+:mod:`repro.obs.trace` use the same appender.  Events recorded inside
+pool *workers* are not captured (workers are ledger-silent by design,
+like the cache); the parent records the job lifecycle on their behalf.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from pathlib import Path
 __all__ = [
     "LEDGER_FORMAT",
     "LEDGER_VERSION",
+    "JsonlAppender",
     "RunLedger",
     "NullLedger",
     "NULL_LEDGER",
@@ -55,22 +58,68 @@ def new_run_id() -> str:
 
 
 def _json_safe(value):
-    """JSON has no Infinity/NaN literals; stringify them (sinks idiom)."""
+    """JSON has no Infinity/NaN literals; stringify them."""
     if isinstance(value, float) and not math.isfinite(value):
         return "Infinity" if value > 0 else ("-Infinity" if value < 0 else "NaN")
     return value
 
 
-class RunLedger:
+class JsonlAppender:
+    """Single-writer append-only JSONL file: the ledger and span sinks.
+
+    A lock, a lazily opened append handle, ``header`` written only to an
+    empty file, and one flushed line per record, so a crashed writer
+    loses at most its torn final line.  :meth:`close` releases the
+    handle; the next append reopens it in append mode.
+    """
+
+    def __init__(self, path: "str | Path", header: str) -> None:
+        self.path = Path(path)
+        self._header = header
+        self._lock = threading.Lock()
+        self._fh = None
+
+    def append(self, line: str) -> None:
+        """Append one serialized record (thread-safe, flushed)."""
+        with self._lock:
+            if self._fh is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                header_needed = not self.path.exists() or self.path.stat().st_size == 0
+                self._fh = self.path.open("a", encoding="utf-8")
+                if header_needed:
+                    self._fh.write(self._header + "\n")
+            self._fh.write(line + "\n")
+            self._fh.flush()
+
+    def close(self) -> None:
+        """Close the stream (further appends reopen it)."""
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
+
+    def __enter__(self) -> "JsonlAppender":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.close()
+        return False
+
+
+class RunLedger(JsonlAppender):
     """Appends structured events for one run to a JSONL file."""
 
     enabled = True
 
     def __init__(self, path: "str | Path", run_id: "str | None" = None) -> None:
-        self.path = Path(path)
         self.run_id = run_id or new_run_id()
-        self._lock = threading.Lock()
-        self._fh = None
+        header = {
+            "type": "meta",
+            "format": LEDGER_FORMAT,
+            "version": LEDGER_VERSION,
+            "run_id": self.run_id,
+        }
+        super().__init__(path, json.dumps(header))
 
     def emit(self, event: str, **fields) -> None:
         """Append one event record (thread-safe, flushed per line)."""
@@ -81,40 +130,7 @@ class RunLedger:
             "t": time.time(),
         }
         record.update({key: _json_safe(value) for key, value in fields.items()})
-        line = json.dumps(record)
-        with self._lock:
-            if self._fh is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                header_needed = not self.path.exists() or self.path.stat().st_size == 0
-                self._fh = self.path.open("a", encoding="utf-8")
-                if header_needed:
-                    self._fh.write(
-                        json.dumps(
-                            {
-                                "type": "meta",
-                                "format": LEDGER_FORMAT,
-                                "version": LEDGER_VERSION,
-                                "run_id": self.run_id,
-                            }
-                        )
-                        + "\n"
-                    )
-            self._fh.write(line + "\n")
-            self._fh.flush()
-
-    def close(self) -> None:
-        """Close the stream (further emits reopen in append mode)."""
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
-
-    def __enter__(self) -> "RunLedger":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
+        self.append(json.dumps(record))
 
 
 class NullLedger:

@@ -4,7 +4,11 @@ One module-level pair ``(registry, tracer)`` backs every instrumented
 call site in the library.  By default both are the null twins, so all
 instrumentation compiles down to no-op method calls; :func:`enable`
 swaps in live objects and returns the :class:`ObsSession` handle used
-to snapshot, export, or render what was collected.
+to snapshot, export, or render what was collected.  The session's
+tracer is a :class:`~repro.obs.trace.SpanRecorder` writing to an
+in-memory :class:`~repro.obs.trace.MemorySink` — the same span model
+as the cross-process recorder behind :func:`spans`, which is switched
+on separately with :func:`enable_tracing` / :func:`traced`.
 
 Instrumented code fetches the live objects with :func:`metrics` and
 :func:`tracer` *at the start of a unit of work* (one solve, one sim
@@ -15,6 +19,7 @@ attribute call per sample.
 from __future__ import annotations
 
 import contextlib
+import uuid
 from pathlib import Path
 
 from repro.obs.ledger import NULL_LEDGER, NullLedger, RunLedger
@@ -22,12 +27,13 @@ from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, NullRegistry
 from repro.obs.trace import (
     NULL_SPAN_RECORDER,
     SPAN_FILE_PREFIX,
+    MemorySink,
     NullSpanRecorder,
+    SpanRecord,
     SpanRecorder,
     SpanSink,
     TraceSampler,
 )
-from repro.obs.tracing import NULL_TRACER, NullTracer, Tracer
 
 __all__ = [
     "ObsSession",
@@ -48,32 +54,34 @@ __all__ = [
 ]
 
 _registry: "MetricsRegistry | NullRegistry" = NULL_REGISTRY
-_tracer: "Tracer | NullTracer" = NULL_TRACER
+_tracer: "SpanRecorder | NullSpanRecorder" = NULL_SPAN_RECORDER
 _session: "ObsSession | None" = None
 _ledger: "RunLedger | NullLedger" = NULL_LEDGER
 _spans: "SpanRecorder | NullSpanRecorder" = NULL_SPAN_RECORDER
 
 
 class ObsSession:
-    """A live observability window: the registry/tracer pair plus exits."""
+    """A live observability window: a fresh registry and span recorder."""
 
-    def __init__(self, registry: MetricsRegistry, trace: Tracer) -> None:
-        self.registry = registry
-        self.tracer = trace
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
+        #: in-process spans; the random process name keeps span ids
+        #: unique when pool workers' sessions are adopted by the parent
+        self.tracer = SpanRecorder(MemorySink(), f"obs-{uuid.uuid4().hex[:8]}")
 
     def snapshot(self) -> dict:
         """Current metric values (see :meth:`MetricsRegistry.snapshot`)."""
         return self.registry.snapshot()
 
-    def spans(self) -> list:
-        """Finished root spans collected so far."""
-        return list(self.tracer.roots)
+    def spans(self) -> "list[SpanRecord]":
+        """Finished spans collected so far, in finish order."""
+        return list(self.tracer.sink)
 
     def write_jsonl(self, path: "str | Path") -> Path:
         """Dump metrics + spans as JSON lines (see :mod:`repro.obs.sinks`)."""
         from repro.obs.sinks import write_jsonl
 
-        return write_jsonl(path, self.registry, self.tracer)
+        return write_jsonl(path, self.registry, self.spans())
 
     def to_prometheus(self) -> str:
         """Render the registry in Prometheus text exposition format."""
@@ -86,7 +94,7 @@ class ObsSession:
         from repro.obs.dashboard import render_dashboard
         from repro.obs.sinks import collect
 
-        return render_dashboard(collect(self.registry, self.tracer), width=width)
+        return render_dashboard(collect(self.registry, self.spans()), width=width)
 
 
 def metrics() -> "MetricsRegistry | NullRegistry":
@@ -94,8 +102,8 @@ def metrics() -> "MetricsRegistry | NullRegistry":
     return _registry
 
 
-def tracer() -> "Tracer | NullTracer":
-    """The active tracer (the null tracer when disabled)."""
+def tracer() -> "SpanRecorder | NullSpanRecorder":
+    """The session's in-process span recorder (the null one when disabled)."""
     return _tracer
 
 
@@ -105,7 +113,7 @@ def ledger() -> "RunLedger | NullLedger":
 
 
 def spans() -> "SpanRecorder | NullSpanRecorder":
-    """The active span recorder (the null recorder when tracing is off).
+    """The active cross-process span recorder (the null one when tracing is off).
 
     Cross-process tracing is switched independently of metrics: a
     serving process can trace without a metrics session and vice
@@ -129,9 +137,8 @@ def enable() -> ObsSession:
     """Switch observability on; idempotent (returns the live session)."""
     global _registry, _tracer, _session
     if _session is None:
-        _registry = MetricsRegistry()
-        _tracer = Tracer()
-        _session = ObsSession(_registry, _tracer)
+        _session = ObsSession()
+        _registry, _tracer = _session.registry, _session.tracer
     return _session
 
 
@@ -139,7 +146,7 @@ def disable() -> None:
     """Switch observability off and drop the live session."""
     global _registry, _tracer, _session
     _registry = NULL_REGISTRY
-    _tracer = NULL_TRACER
+    _tracer = NULL_SPAN_RECORDER
     _session = None
 
 
@@ -154,9 +161,8 @@ def observed():
     """
     global _registry, _tracer, _session
     previous = (_registry, _tracer, _session)
-    _registry = MetricsRegistry()
-    _tracer = Tracer()
-    _session = ObsSession(_registry, _tracer)
+    _session = ObsSession()
+    _registry, _tracer = _session.registry, _session.tracer
     try:
         yield _session
     finally:

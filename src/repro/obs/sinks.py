@@ -2,16 +2,18 @@
 
 The JSON-lines layout is one self-describing record per line::
 
-    {"type": "meta", "format": "repro-obs", "version": 1}
+    {"type": "meta", "format": "repro-obs", "version": 2}
     {"type": "counter", "name": "solver/solves", "labels": {...}, "value": 3}
     {"type": "gauge", ...}
     {"type": "histogram", "name": "sim/queue_wait_s", ..., "summary": {...}}
     {"type": "timer", ...}
-    {"type": "span", "tree": {...nested span dicts...}}
+    {"type": "span", "span": {...one SpanRecord.to_dict()...}}
 
 which streams, appends, and greps well.  :func:`load_jsonl` folds a
 file back into the same collected-dict shape :func:`collect` produces,
-so the dashboard renders live sessions and files identically.
+so the dashboard renders live sessions and files identically.  Version
+1 stored nested span trees (``"tree"``); loading such a span line
+raises :class:`~repro.errors.SerializationError`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import json
 import math
 from pathlib import Path
 
+from repro.errors import SerializationError
+from repro.obs.ledger import _json_safe
 from repro.obs.metrics import instrument_key
 
 __all__ = [
@@ -33,14 +37,7 @@ __all__ = [
 ]
 
 JSONL_FORMAT = "repro-obs"
-JSONL_VERSION = 1
-
-
-def _json_safe(value):
-    """JSON has no Infinity/NaN literals; stringify them."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return "Infinity" if value > 0 else ("-Infinity" if value < 0 else "NaN")
-    return value
+JSONL_VERSION = 2
 
 
 def _summary_safe(summary: dict) -> dict:
@@ -74,15 +71,15 @@ def _summary_load(summary: dict) -> dict:
     return out
 
 
-def collect(registry, tracer=None) -> dict:
-    """Fold a live registry (+ optional tracer) into one plain dict."""
-    data = {"metrics": registry.snapshot(), "spans": []}
-    if tracer is not None:
-        data["spans"] = [span.as_dict() for span in tracer.roots]
-    return data
+def collect(registry, spans=()) -> dict:
+    """Fold a live registry (+ finished span records) into one plain dict."""
+    return {
+        "metrics": registry.snapshot(),
+        "spans": [record.to_dict() for record in spans],
+    }
 
 
-def write_jsonl(path: "str | Path", registry, tracer=None) -> Path:
+def write_jsonl(path: "str | Path", registry, spans=()) -> Path:
     """Write the current state as JSON lines; returns the path."""
     path = Path(path)
     lines = [
@@ -97,9 +94,8 @@ def write_jsonl(path: "str | Path", registry, tracer=None) -> Path:
         else:
             record["summary"] = _summary_safe(instrument.summary())
         lines.append(json.dumps(record))
-    if tracer is not None:
-        for span in tracer.roots:
-            lines.append(json.dumps({"type": "span", "tree": span.as_dict()}))
+    for record in spans:
+        lines.append(json.dumps({"type": "span", "span": record.to_dict()}))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -108,7 +104,8 @@ def load_jsonl(path: "str | Path") -> dict:
     """Read a JSON-lines export back into the :func:`collect` shape."""
     metrics: dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}, "timers": {}}
     spans: list[dict] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    text = Path(path).read_text(encoding="utf-8")
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -117,7 +114,12 @@ def load_jsonl(path: "str | Path") -> dict:
         if kind == "meta":
             continue
         if kind == "span":
-            spans.append(record["tree"])
+            if "span" not in record:
+                raise SerializationError(
+                    f"{path}:{number}: version-1 span tree; this reader "
+                    f"expects version-{JSONL_VERSION} span records"
+                )
+            spans.append(record["span"])
             continue
         key = instrument_key(record["name"], record.get("labels"))
         if kind == "counter":

@@ -1,14 +1,23 @@
-"""Cross-process distributed tracing for the serving tier.
+"""The one span model: :class:`SpanRecord`, opened by a :class:`SpanRecorder`.
 
-The in-process :class:`~repro.obs.tracing.Tracer` builds span trees
-inside one interpreter; this module extends the idea across OS
-processes.  A request carries a **trace context** — ``(trace_id,
-span_id, sampled)`` — stamped on every line-JSON protocol message, and
-each hop (client, router, netem wire, shard service, batcher, WAL
-replay) opens a child span bound to that context.  Spans are written
-as single JSON lines to a per-process sink file (the ledger's
-single-writer discipline), and ``repro trace`` stitches the files back
-into one waterfall or critical-path view per trace id.
+Every timed scope in the library is a flat record linked to its parent
+by id — ``(trace_id, span_id, parent_id)`` — and :func:`build_trace`
+stitches records back into trees.  The same model serves two uses:
+
+* **in-process** — ``with obs.tracer().span("solve/tacc"):`` nests
+  solves, solver phases, DES runs, re-optimizations and rebalances
+  under the innermost live span of the same recorder (tracked per
+  asyncio task / thread through a contextvar).  The observed session
+  keeps these records in memory (:class:`MemorySink`) and the session
+  JSONL stores one ``span`` line per record;
+* **cross-process** — a request carries a **trace context**
+  (``trace_id, span_id, sampled``) stamped on every line-JSON protocol
+  message, and each hop (client, router, netem wire, shard service,
+  batcher, WAL replay) opens a child span bound to that context.  Each
+  process appends its spans to a per-process :class:`SpanSink` file
+  (the run ledger's single-writer discipline), and ``repro trace``
+  stitches the files back into one waterfall or critical-path view per
+  trace id.
 
 Determinism: the sampling decision is a pure function of
 ``(seed, trace_id)`` via :func:`~repro.utils.rng.derive_seed`, and
@@ -26,14 +35,15 @@ same discipline as the null metrics registry.
 from __future__ import annotations
 
 import contextvars
+import itertools
 import json
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import SerializationError
 from repro.obs import names as obs_names
+from repro.obs.ledger import JsonlAppender
 from repro.utils.rng import derive_seed
 from repro.utils.validation import require
 
@@ -44,6 +54,7 @@ __all__ = [
     "new_trace_id",
     "SpanRecord",
     "SpanSink",
+    "MemorySink",
     "SpanRecorder",
     "NullSpanRecorder",
     "NULL_SPAN_RECORDER",
@@ -208,51 +219,38 @@ class SpanRecord:
             raise SerializationError(f"bad span record: {exc}") from exc
 
 
-class SpanSink:
-    """Append-only JSONL span writer: one per process, single-writer.
+class SpanSink(JsonlAppender):
+    """Append-only JSONL span file: one per process, single-writer.
 
-    Same discipline as :class:`~repro.obs.ledger.RunLedger`: a lock, a
-    lazily opened append handle, one flushed JSON line per span, and a
-    meta header line stamped when the file is empty — so a crashed
-    process loses at most its torn final line.
+    The run ledger's file discipline (:class:`~repro.obs.ledger.JsonlAppender`)
+    with a ``repro-trace`` header and sorted keys; each exported span
+    counts toward ``trace/spans_exported``.
     """
 
     def __init__(self, path: "str | Path", process: str) -> None:
-        self.path = Path(path)
+        header = {"format": _FORMAT, "version": _VERSION, "process": process}
+        super().__init__(path, json.dumps(header, sort_keys=True))
         self.process = process
-        self._lock = threading.Lock()
-        self._handle = None
-        self.spans_written = 0
 
     def emit(self, record: SpanRecord) -> None:
         """Append one finished span (thread-safe)."""
-        line = json.dumps(record.to_dict(), sort_keys=True)
-        with self._lock:
-            if self._handle is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                fresh = not self.path.exists() or self.path.stat().st_size == 0
-                self._handle = open(  # noqa: SIM115 — long-lived handle
-                    self.path, "a", encoding="utf-8"
-                )
-                if fresh:
-                    header = {
-                        "format": _FORMAT,
-                        "version": _VERSION,
-                        "process": self.process,
-                    }
-                    self._handle.write(
-                        json.dumps(header, sort_keys=True) + "\n"
-                    )
-            self._handle.write(line + "\n")
-            self._handle.flush()
-            self.spans_written += 1
+        self.append(json.dumps(record.to_dict(), sort_keys=True))
+        _count(obs_names.TRACE_SPANS_EXPORTED)
+
+
+class MemorySink(list):
+    """Finished spans kept in memory: the observed session's sink."""
+
+    emit = list.append
 
     def close(self) -> None:
-        """Close the handle (emitted spans already on disk stay)."""
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+        """Nothing to release."""
+
+
+def _count(name: str) -> None:
+    from repro.obs import runtime as obs_runtime
+
+    obs_runtime.metrics().counter(name).inc()
 
 
 # ----------------------------------------------------------------------
@@ -262,17 +260,27 @@ class SpanSink:
 #: children and events attach here without threading a handle through
 #: every call signature (netem annotates the router's forward span this
 #: way).  contextvars give each asyncio task its own copy, so hedged
-#: forwards running concurrently each see their own span.
+#: forwards running concurrently each see their own span, and
+#: ``asyncio.to_thread`` carries the caller's span into the thread.
 _CURRENT_SPAN: "contextvars.ContextVar[_ActiveSpan | None]" = (
     contextvars.ContextVar("repro_trace_current_span", default=None)
 )
 
 
 class _ActiveSpan:
-    """Context manager for one live cross-process span."""
+    """One live span, closed by ``with`` or by an explicit :meth:`finish`.
+
+    ``finish`` exists for measurement harnesses whose send and
+    completion live in different callbacks (the open-loop load
+    generator), where a ``with`` block cannot bracket the request.
+    Never call it on the serving request path — there the lint enforces
+    ``start_span`` + ``with``, and ``start_manual`` is forbidden
+    outright.
+    """
 
     __slots__ = (
-        "_recorder", "_record", "_started", "_token", "context",
+        "_recorder", "_record", "_started", "_token", "_outer", "_done",
+        "context",
     )
 
     def __init__(
@@ -283,6 +291,10 @@ class _ActiveSpan:
         self._record = record
         self._started = started
         self._token = None
+        #: the span that was current when this one was entered (any
+        #: recorder's) — :meth:`SpanRecorder.current` walks this chain
+        self._outer = None
+        self._done = False
         #: hand this to the next hop (its parent is *this* span)
         self.context = TraceContext(
             trace_id=record.trace_id, span_id=record.span_id, sampled=True
@@ -313,61 +325,7 @@ class _ActiveSpan:
         """Override the span status (exceptions set ``error:<Type>``)."""
         self._record.status = status
 
-    def __enter__(self) -> "_ActiveSpan":
-        self._token = _CURRENT_SPAN.set(self)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._token is not None:
-            _CURRENT_SPAN.reset(self._token)
-            self._token = None
-        self._record.duration_ms = (
-            time.perf_counter() - self._started
-        ) * 1e3
-        if exc_type is not None:
-            self._record.status = f"error:{exc_type.__name__}"
-        self._recorder._finish(self._record)
-        return False
-
-
-class _ManualSpan:
-    """A live span closed by an explicit :meth:`finish` call.
-
-    For measurement harnesses whose send and completion live in
-    different callbacks (the open-loop load generator), where a
-    ``with`` block cannot bracket the request.  Never use this on the
-    serving request path — there the lint enforces ``start_span`` +
-    ``with``, and ``start_manual`` is forbidden outright.
-    """
-
-    __slots__ = ("_recorder", "_record", "_started", "_done", "context")
-
-    def __init__(
-        self, recorder: "SpanRecorder", record: SpanRecord, started: float
-    ) -> None:
-        self._recorder = recorder
-        self._record = record
-        self._started = started
-        self._done = False
-        self.context = TraceContext(
-            trace_id=record.trace_id, span_id=record.span_id, sampled=True
-        )
-
-    def annotate(self, **attributes) -> None:
-        """Attach key/value attributes to the live span."""
-        self._record.attributes.update(attributes)
-
-    def event(self, name: str, **fields) -> None:
-        """Record a point-in-time event inside the span."""
-        entry = {
-            "name": name,
-            "t_ms": round((time.perf_counter() - self._started) * 1e3, 3),
-        }
-        entry.update(fields)
-        self._record.events.append(entry)
-        self._recorder.events_recorded += 1
-
-    def finish(self, status: str = "ok") -> None:
+    def finish(self, status: "str | None" = None) -> None:
         """Close and export the span (idempotent)."""
         if self._done:
             return
@@ -375,8 +333,21 @@ class _ManualSpan:
         self._record.duration_ms = (
             time.perf_counter() - self._started
         ) * 1e3
-        self._record.status = status
+        if status is not None:
+            self._record.status = status
         self._recorder._finish(self._record)
+
+    def __enter__(self) -> "_ActiveSpan":
+        self._outer = _CURRENT_SPAN.get()
+        self._token = _CURRENT_SPAN.set(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if self._token is not None:
+            _CURRENT_SPAN.reset(self._token)
+            self._token = None
+        self.finish(None if exc_type is None else f"error:{exc_type.__name__}")
+        return False
 
 
 class _NullActiveSpan:
@@ -396,7 +367,7 @@ class _NullActiveSpan:
     def set_status(self, status: str) -> None:
         """No-op."""
 
-    def finish(self, status: str = "ok") -> None:
+    def finish(self, status: "str | None" = None) -> None:
         """No-op."""
 
     def __enter__(self) -> "_NullActiveSpan":
@@ -410,25 +381,36 @@ _NULL_ACTIVE_SPAN = _NullActiveSpan()
 
 
 class SpanRecorder:
-    """Opens spans bound to trace contexts and exports them to a sink.
+    """Opens spans and exports each finished one to ``sink.emit``.
 
-    One recorder per process.  ``start_span`` is the only way to open a
-    span and must be used as a context manager (``with``) — the request
-    -path lint enforces this, so spans cannot leak open.
+    Two ways in, one record model:
+
+    * ``start_span(name, context)`` — a request hop bound to a wire
+      :class:`TraceContext` (sampled or not), which is how spans cross
+      processes;
+    * ``span(name)`` — an in-process scope (a solve, a solver phase, a
+      DES run) nested under this recorder's innermost live span, or the
+      root of a new trace whose id is its own span id.
+
+    Both must be used as context managers (``with``) — the request-path
+    lint enforces this for ``start_span``, so spans cannot leak open.
+    Each recorder sees only its own live spans, so in-process scopes
+    never attach to a request hop and hop events never land on a solver
+    scope.
     """
 
     enabled = True
 
     def __init__(
         self,
-        sink: SpanSink,
+        sink: "SpanSink | MemorySink",
         process: str,
         sampler: "TraceSampler | None" = None,
     ) -> None:
         self.sink = sink
         self.process = process
         self.sampler = sampler or TraceSampler()
-        self._counter = 0
+        self._ids = itertools.count(1)
         self.spans_exported = 0
         self.events_recorded = 0
         self.traces_started = 0
@@ -439,10 +421,27 @@ class SpanRecorder:
         sampled = self.sampler.sampled(trace_id)
         if sampled:
             self.traces_started += 1
-            self._metric(obs_names.TRACE_TRACES_SAMPLED)
+            _count(obs_names.TRACE_TRACES_SAMPLED)
         return TraceContext(trace_id=trace_id, span_id="", sampled=sampled)
 
     # -- span lifecycle ------------------------------------------------
+    def _open(
+        self, name: str, trace_id: "str | None", parent_id: str,
+        attributes: dict,
+    ) -> _ActiveSpan:
+        """One live span; ``trace_id=None`` roots a new trace at it."""
+        span_id = f"{self.process}:{next(self._ids)}"
+        record = SpanRecord(
+            trace_id=span_id if trace_id is None else trace_id,
+            span_id=span_id,
+            parent_id=parent_id,
+            name=name,
+            process=self.process,
+            start_ms=time.time() * 1e3,
+            attributes=attributes,
+        )
+        return _ActiveSpan(self, record, time.perf_counter())
+
     def start_span(
         self,
         name: str,
@@ -456,62 +455,58 @@ class SpanRecorder:
         """
         if context is None or not context.sampled:
             return _NULL_ACTIVE_SPAN
-        self._counter += 1
-        record = SpanRecord(
-            trace_id=context.trace_id,
-            span_id=f"{self.process}:{self._counter}",
-            parent_id=context.span_id,
-            name=name,
-            process=self.process,
-            start_ms=time.time() * 1e3,
-            attributes=dict(attributes),
-        )
-        return _ActiveSpan(self, record, time.perf_counter())
+        return self._open(name, context.trace_id, context.span_id, attributes)
 
     def start_manual(
         self,
         name: str,
         context: "TraceContext | None",
         **attributes,
-    ) -> "_ManualSpan | _NullActiveSpan":
+    ) -> "_ActiveSpan | _NullActiveSpan":
         """Open a span closed by ``.finish()`` instead of ``with``.
 
-        Only for measurement harnesses (see :class:`_ManualSpan`); the
+        Only for measurement harnesses (see :class:`_ActiveSpan`); the
         request-path lint rejects this call in serving code.
         """
-        if context is None or not context.sampled:
-            return _NULL_ACTIVE_SPAN
-        self._counter += 1
-        record = SpanRecord(
-            trace_id=context.trace_id,
-            span_id=f"{self.process}:{self._counter}",
-            parent_id=context.span_id,
-            name=name,
-            process=self.process,
-            start_ms=time.time() * 1e3,
-            attributes=dict(attributes),
+        return self.start_span(name, context, **attributes)
+
+    def span(self, name: str, **attributes) -> _ActiveSpan:
+        """Open an in-process span; use as ``with recorder.span("x"):``."""
+        parent = self._live()
+        if parent is None:
+            return self._open(name, None, "", attributes)
+        return self._open(
+            name, parent._record.trace_id, parent._record.span_id, attributes
         )
-        return _ManualSpan(self, record, time.perf_counter())
+
+    def _live(self) -> "_ActiveSpan | None":
+        live = _CURRENT_SPAN.get()
+        while live is not None and live._recorder is not self:
+            live = live._outer
+        return live
 
     def current(self) -> "_ActiveSpan | _NullActiveSpan":
-        """The innermost live span of this task (no-op span when none)."""
-        live = _CURRENT_SPAN.get()
+        """This recorder's innermost live span in this task (no-op when none)."""
+        live = self._live()
         return live if live is not None else _NULL_ACTIVE_SPAN
 
     def event(self, name: str, **fields) -> None:
         """Annotate the current task's live span (no-op when none)."""
         self.current().event(name, **fields)
 
+    def adopt(self, spans: "list[dict]") -> None:
+        """Export spans finished elsewhere (``SpanRecord.to_dict`` payloads).
+
+        The engine folds pool workers' session spans into the parent
+        this way; their ids carry the worker recorder's process name,
+        so they never collide with the parent's.
+        """
+        for payload in spans:
+            self.sink.emit(SpanRecord.from_dict(payload))
+
     def _finish(self, record: SpanRecord) -> None:
         self.sink.emit(record)
         self.spans_exported += 1
-        self._metric(obs_names.TRACE_SPANS_EXPORTED)
-
-    @staticmethod
-    def _metric(name: str) -> None:
-        from repro.obs import runtime as obs_runtime
-
-        obs_runtime.metrics().counter(name).inc()
 
     def close(self) -> None:
         """Close the sink."""
@@ -536,11 +531,18 @@ class NullSpanRecorder:
         """Shared no-op span."""
         return _NULL_ACTIVE_SPAN
 
+    def span(self, name: str, **attributes) -> _NullActiveSpan:
+        """Shared no-op span."""
+        return _NULL_ACTIVE_SPAN
+
     def current(self) -> _NullActiveSpan:
         """Shared no-op span."""
         return _NULL_ACTIVE_SPAN
 
     def event(self, name: str, **fields) -> None:
+        """No-op."""
+
+    def adopt(self, spans: "list[dict]") -> None:
         """No-op."""
 
     def close(self) -> None:

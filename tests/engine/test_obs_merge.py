@@ -54,6 +54,15 @@ def _prefixed(group: dict, prefixes=("solver/", "sim/", "rl/")) -> dict:
     }
 
 
+def _tree_shape(spans) -> list:
+    """Sorted ``(span name, parent span name)`` pairs of a span list."""
+    names = {span.span_id: span.name for span in spans}
+    return sorted(
+        (span.name, names[span.parent_id] if span.parent_id else "")
+        for span in spans
+    )
+
+
 class TestSerialParallelObsEquality:
     def test_f5_serial_equals_two_workers(self, monkeypatch):
         serial_table, serial, serial_spans = _run_f5(monkeypatch, engine=None)
@@ -94,6 +103,9 @@ class TestSerialParallelObsEquality:
         assert sorted(span.name for span in serial_spans) == sorted(
             span.name for span in parallel_spans
         )
+        # ...and stitch into the same tree shape: each span's parent name
+        assert _tree_shape(serial_spans) == _tree_shape(parallel_spans)
+        assert any(parent for _, parent in _tree_shape(serial_spans))
 
     def test_cache_hits_contribute_no_samples(self, tmp_path, monkeypatch):
         engine = EngineOptions(jobs=2, cache_dir=tmp_path / "cache")

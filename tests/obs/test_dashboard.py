@@ -5,16 +5,50 @@ from __future__ import annotations
 from repro.obs.dashboard import render_dashboard, render_span_tree
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import collect
-from repro.obs.tracing import Tracer
+from repro.obs.trace import MemorySink, SpanRecord, SpanRecorder
+
+
+def _record(trace_id, span_id, parent_id, name, start_ms, duration_ms,
+            status="ok"):
+    return SpanRecord(
+        trace_id=trace_id, span_id=span_id, parent_id=parent_id, name=name,
+        process="p", start_ms=start_ms, duration_ms=duration_ms,
+        status=status,
+    ).to_dict()
+
+
+#: one TACC solve inside a DES run, then a second root whose child
+#: failed — listed in finish order, as a session records them
+_GOLDEN_RECORDS = [
+    _record("p:1", "p:3", "p:2", "solve/tacc/train", 1000.5, 790.1234),
+    _record("p:1", "p:4", "p:2", "solve/tacc/polish", 1790.7, 21.9),
+    _record("p:1", "p:2", "p:1", "solve/tacc", 1000.2, 812.4),
+    _record("p:1", "p:1", "", "sim/run", 1000.0, 2500.0),
+    _record("p:5", "p:6", "p:5", "solve/tacc", 4000.1, 0.004, "error:ValueError"),
+    _record("p:5", "p:5", "", "cluster/degraded", 4000.0, 0.5, "error:ValueError"),
+]
+
+#: the same trees rendered by the nested-tree renderer this one
+#: replaced (output of the span-tree renderer before span records)
+_GOLDEN_SECTION = "\n".join([
+    'span                   duration   status          ',
+    '---------------------  ---------  ----------------',
+    'sim/run                2.500 s    ok              ',
+    '  solve/tacc           812.40 ms  ok              ',
+    '    solve/tacc/train   790.12 ms  ok              ',
+    '    solve/tacc/polish  21.90 ms   ok              ',
+    'cluster/degraded       500.0 us   error:ValueError',
+    '  solve/tacc           4.0 us     error:ValueError',
+])
 
 
 class TestRenderSpanTree:
     def test_indents_children(self):
-        tracer = Tracer()
-        with tracer.span("root"):
-            with tracer.span("child"):
+        recorder = SpanRecorder(MemorySink(), "p")
+        with recorder.span("root"):
+            with recorder.span("child"):
                 pass
-        text = render_span_tree([span.as_dict() for span in tracer.roots])
+        text = render_span_tree([record.to_dict() for record in recorder.sink])
         lines = text.splitlines()
         root_line = next(line for line in lines if "root" in line)
         child_line = next(line for line in lines if "child" in line)
@@ -22,8 +56,13 @@ class TestRenderSpanTree:
         assert child_line.startswith("  child")
 
     def test_error_status_visible(self):
-        tree = {"name": "x", "duration_s": 0.5, "status": "error:ValueError"}
-        assert "error:ValueError" in render_span_tree([tree])
+        record = _record("p:1", "p:1", "", "x", 0.0, 500.0, "error:ValueError")
+        assert "error:ValueError" in render_span_tree([record])
+
+    def test_golden_matches_the_nested_tree_renderer(self):
+        assert render_span_tree(_GOLDEN_RECORDS) == _GOLDEN_SECTION
+        text = render_dashboard({"metrics": {}, "spans": _GOLDEN_RECORDS})
+        assert "## spans\n" + _GOLDEN_SECTION in text
 
 
 class TestRenderDashboard:
@@ -37,10 +76,10 @@ class TestRenderDashboard:
         hist = registry.histogram("sim/queue_wait_s")
         for i in range(50):
             hist.observe(i / 1000.0)
-        tracer = Tracer()
-        with tracer.span("solve/tacc"):
+        recorder = SpanRecorder(MemorySink(), "p")
+        with recorder.span("solve/tacc"):
             pass
-        text = render_dashboard(collect(registry, tracer))
+        text = render_dashboard(collect(registry, recorder.sink))
         assert "## spans" in text
         assert "solve/tacc" in text
         assert "## counters" in text

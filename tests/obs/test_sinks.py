@@ -5,6 +5,9 @@ from __future__ import annotations
 import json
 import math
 
+import pytest
+
+from repro.errors import SerializationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import (
     collect,
@@ -15,7 +18,7 @@ from repro.obs.sinks import (
     to_prometheus_text,
     write_jsonl,
 )
-from repro.obs.tracing import Tracer
+from repro.obs.trace import MemorySink, SpanRecorder
 
 
 def _populated_registry() -> MetricsRegistry:
@@ -32,11 +35,11 @@ def _populated_registry() -> MetricsRegistry:
 class TestJsonl:
     def test_round_trip(self, tmp_path):
         registry = _populated_registry()
-        tracer = Tracer()
-        with tracer.span("solve/tacc"):
-            with tracer.span("rl/train"):
+        recorder = SpanRecorder(MemorySink(), "p")
+        with recorder.span("solve/tacc"):
+            with recorder.span("rl/train"):
                 pass
-        path = write_jsonl(tmp_path / "run.jsonl", registry, tracer)
+        path = write_jsonl(tmp_path / "run.jsonl", registry, recorder.sink)
         data = load_jsonl(path)
         metrics = data["metrics"]
         assert metrics["counters"]["solver/solves{solver=tacc}"] == 3
@@ -44,8 +47,21 @@ class TestJsonl:
         wait = metrics["histograms"]["sim/queue_wait_s"]
         assert wait["count"] == 3
         assert wait["buckets"][-1][0] == math.inf
-        assert data["spans"][0]["name"] == "solve/tacc"
-        assert data["spans"][0]["children"][0]["name"] == "rl/train"
+        assert data["spans"] == [record.to_dict() for record in recorder.sink]
+        child, root = data["spans"]
+        assert (root["name"], child["name"]) == ("solve/tacc", "rl/train")
+        assert child["parent_id"] == root["span_id"]
+
+    def test_version_1_span_line_is_rejected(self, tmp_path):
+        path = tmp_path / "v1.jsonl"
+        path.write_text(
+            '{"type": "meta", "format": "repro-obs", "version": 1}\n'
+            '{"type": "span", "tree": {"name": "solve/tacc", "start_s": 0.0,'
+            ' "duration_s": 0.1, "status": "ok"}}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(SerializationError, match="version-1 span"):
+            load_jsonl(path)
 
     def test_every_line_is_valid_json(self, tmp_path):
         path = write_jsonl(tmp_path / "run.jsonl", _populated_registry())

@@ -1,15 +1,23 @@
-"""Cross-process tracing: contexts, sampling, sinks, stitching."""
+"""The span model: in-process scopes, cross-process contexts, sampling,
+sinks, stitching, and the runtime switch."""
 
 from __future__ import annotations
 
+import asyncio
 import json
+import sys
+import threading
+import time
 
 import pytest
 
+import repro
 from repro.errors import SerializationError, ValidationError
 from repro.obs import runtime as obs_runtime
 from repro.obs.trace import (
+    NULL_SPAN_RECORDER,
     SPAN_FILE_PREFIX,
+    MemorySink,
     NullSpanRecorder,
     SpanRecord,
     SpanRecorder,
@@ -31,6 +39,247 @@ from repro.obs.trace import (
 def make_recorder(tmp_path, process="test", **sampler_kwargs):
     sink = SpanSink(tmp_path / f"{SPAN_FILE_PREFIX}{process}.jsonl", process)
     return SpanRecorder(sink, process, TraceSampler(**sampler_kwargs))
+
+
+def memory_recorder(process="local"):
+    return SpanRecorder(MemorySink(), process)
+
+
+def stitched(records):
+    """Root trees of every trace in ``records``, in start order."""
+    return [
+        root
+        for trace_id in trace_ids(records)
+        for root in build_trace(records, trace_id)[0]
+    ]
+
+
+def parent_names(records):
+    """``{span name: parent span name}`` (``None`` for roots)."""
+    by_id = {record.span_id: record for record in records}
+    return {
+        record.name: (
+            by_id[record.parent_id].name if record.parent_id else None
+        )
+        for record in records
+    }
+
+
+class TestInProcessSpans:
+    def test_single_span_becomes_root(self):
+        recorder = memory_recorder()
+        with recorder.span("a"):
+            pass
+        (record,) = recorder.sink
+        assert record.name == "a"
+        assert record.parent_id == ""
+        assert record.trace_id == record.span_id
+        assert record.duration_ms >= 0.0
+        assert record.status == "ok"
+
+    def test_nesting_builds_a_tree(self):
+        recorder = memory_recorder()
+        with recorder.span("root"):
+            with recorder.span("child1"):
+                with recorder.span("grandchild"):
+                    pass
+            with recorder.span("child2"):
+                pass
+        (root,) = stitched(recorder.sink)
+        assert root.record.name == "root"
+        assert [c.record.name for c in root.children] == ["child1", "child2"]
+        assert [c.record.name for c in root.children[0].children] == [
+            "grandchild"
+        ]
+
+    def test_sequential_roots_accumulate(self):
+        recorder = memory_recorder()
+        with recorder.span("first"):
+            pass
+        with recorder.span("second"):
+            pass
+        roots = stitched(recorder.sink)
+        assert [root.record.name for root in roots] == ["first", "second"]
+        assert roots[0].record.trace_id != roots[1].record.trace_id
+
+    def test_exception_closes_span_and_propagates(self):
+        recorder = memory_recorder()
+        with pytest.raises(ValueError):
+            with recorder.span("outer"):
+                with recorder.span("inner"):
+                    raise ValueError("boom")
+        assert recorder.current() is NULL_SPAN_RECORDER.current()
+        (root,) = stitched(recorder.sink)
+        (child,) = root.children
+        assert root.record.status == "error:ValueError"
+        assert child.record.status == "error:ValueError"
+        assert root.record.duration_ms >= child.record.duration_ms >= 0.0
+
+    def test_annotate_attaches_attributes(self):
+        recorder = memory_recorder()
+        with recorder.span("a", x=1) as scope:
+            scope.annotate(y=2)
+        assert recorder.sink[0].attributes == {"x": 1, "y": 2}
+
+    def test_adopt_round_trips_worker_spans(self):
+        worker = memory_recorder("worker")
+        with worker.span("root", k="v"):
+            with worker.span("child"):
+                pass
+        parent = memory_recorder("parent")
+        with parent.span("own"):
+            pass
+        parent.adopt([record.to_dict() for record in worker.sink])
+        roots = stitched(parent.sink)  # start order: the worker ran first
+        assert [root.record.name for root in roots] == ["root", "own"]
+        assert roots[0].record.attributes == {"k": "v"}
+        assert [c.record.name for c in roots[0].children] == ["child"]
+
+    def test_disabled_and_inert(self):
+        assert not NULL_SPAN_RECORDER.enabled
+        with NULL_SPAN_RECORDER.span("anything") as scope:
+            scope.annotate(ignored=True)
+            assert NULL_SPAN_RECORDER.current() is scope
+        NULL_SPAN_RECORDER.adopt([{"trace_id": "t", "span_id": "s"}])
+        assert scope.span_id == ""
+
+
+class TestSpanParenting:
+    def test_gathered_tasks_do_not_mis_nest(self):
+        recorder = memory_recorder()
+
+        async def reopt():
+            with recorder.span("serve/reopt"):
+                await asyncio.sleep(0.05)
+
+        async def rebalance():
+            await asyncio.sleep(0.01)
+            with recorder.span("shard/rebalance"):
+                await asyncio.sleep(0.1)
+
+        async def both():
+            await asyncio.gather(reopt(), rebalance())
+
+        asyncio.run(both())
+        by_name = {record.name: record for record in recorder.sink}
+        assert by_name["serve/reopt"].parent_id == ""
+        assert by_name["shard/rebalance"].parent_id == ""
+        assert by_name["serve/reopt"].duration_ms >= 50.0
+        assert by_name["shard/rebalance"].duration_ms >= 100.0
+
+    def test_to_thread_solve_nests_under_reopt(self, small_problem):
+        async def reopt():
+            with obs_runtime.tracer().span("serve/reopt"):
+                await asyncio.to_thread(
+                    repro.get_solver("greedy").solve, small_problem
+                )
+
+        with obs_runtime.observed() as session:
+            asyncio.run(reopt())
+        assert parent_names(session.spans())["solve/greedy"] == "serve/reopt"
+
+    def test_recorders_see_only_their_own_spans(self, tmp_path):
+        hops = make_recorder(tmp_path)
+        scopes = memory_recorder()
+        context = hops.new_context("t1")
+        with hops.start_span("serve/request", context) as hop:
+            with scopes.span("solve/greedy") as solve:
+                hops.event("dequeued")
+                assert hops.current() is hop
+                assert scopes.current() is solve
+        hops.close()
+        (scope,) = scopes.sink
+        assert scope.parent_id == "" and scope.events == []
+        (record,) = load_span_file(hops.sink.path)
+        assert [event["name"] for event in record.events] == ["dequeued"]
+
+    def test_threads_keep_separate_stacks_and_unique_ids(self):
+        recorder = memory_recorder()
+        spans_per_thread = 300
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def work(index):
+                for _ in range(spans_per_thread):
+                    with recorder.span(f"outer-{index}"):
+                        with recorder.span(f"inner-{index}"):
+                            pass
+
+            threads = [
+                threading.Thread(target=work, args=(index,)) for index in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 30.0
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        records = list(recorder.sink)
+        assert len(records) == 4 * 2 * spans_per_thread
+        assert len({record.span_id for record in records}) == len(records)
+        by_id = {record.span_id: record for record in records}
+        for record in records:
+            if record.name.startswith("inner-"):
+                parent = by_id[record.parent_id]
+                assert parent.name == "outer-" + record.name.split("-")[1]
+            else:
+                assert record.parent_id == ""
+
+
+class TestRuntimeSwitch:
+    def test_disabled_by_default(self):
+        assert not obs_runtime.is_enabled()
+        assert not obs_runtime.metrics().enabled
+        assert obs_runtime.tracer() is NULL_SPAN_RECORDER
+
+    def test_observed_scope_enables_then_restores(self):
+        assert not obs_runtime.is_enabled()
+        with obs_runtime.observed() as session:
+            assert obs_runtime.is_enabled()
+            assert obs_runtime.tracer() is session.tracer
+            obs_runtime.metrics().counter("x").inc()
+            with obs_runtime.tracer().span("a"):
+                pass
+            assert session.snapshot()["counters"]["x"] == 1
+            assert [record.name for record in session.spans()] == ["a"]
+        assert not obs_runtime.is_enabled()
+        assert obs_runtime.tracer() is NULL_SPAN_RECORDER
+
+    def test_observed_scopes_nest(self):
+        with obs_runtime.observed() as outer:
+            obs_runtime.metrics().counter("outer").inc()
+            with obs_runtime.observed() as inner:
+                obs_runtime.metrics().counter("inner").inc()
+                assert "outer" not in inner.snapshot()["counters"]
+            assert "inner" not in outer.snapshot()["counters"]
+            assert obs_runtime.metrics() is outer.registry
+            assert obs_runtime.tracer() is outer.tracer
+
+    def test_enable_is_idempotent_and_disable_resets(self):
+        try:
+            first = obs_runtime.enable()
+            second = obs_runtime.enable()
+            assert first is second
+            assert obs_runtime.is_enabled()
+            assert obs_runtime.tracer() is first.tracer
+        finally:
+            obs_runtime.disable()
+        assert not obs_runtime.is_enabled()
+        assert obs_runtime.tracer() is NULL_SPAN_RECORDER
+
+    def test_observed_restores_on_exception(self):
+        with pytest.raises(RuntimeError):
+            with obs_runtime.observed():
+                raise RuntimeError("boom")
+        assert not obs_runtime.is_enabled()
+
+    def test_session_spans_count_no_exported_metric(self):
+        with obs_runtime.observed() as session:
+            with obs_runtime.tracer().span("a"):
+                pass
+            assert not session.snapshot().get("counters")
 
 
 class TestTraceContext:

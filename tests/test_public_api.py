@@ -55,7 +55,7 @@ class TestPublicApi:
             "tracer",
             "MetricsRegistry",
             "Timer",
-            "Span",
+            "SpanRecord",
             "write_jsonl",
             "load_jsonl",
             "to_prometheus_text",
