@@ -2,11 +2,13 @@
 
 Each probe is a self-contained callable exercising one hot path of
 the library on a fixed tiny workload (fixed seeds, quick-scale sizes)
-so a full sweep of all probes stays in low single-digit seconds.  Two
+so a full sweep of all probes stays in low single-digit seconds.  Three
 probes are larger on purpose, so a core is timed where its scaling
 shows: ``topology_build_wide`` builds a 2000-device instance (the
-shortest-path core), and ``solve_local_search_mid`` runs local search
-on a 400-device instance (the move-delta kernel).
+shortest-path core), ``solve_local_search_mid`` runs local search
+on a 400-device instance (the move-delta kernel), and
+``solve_tacc_search`` trains TACC for its default 400 episodes on a
+150-device instance (the Q-learning step).
 Probes measure *relative* speed across commits, not absolute paper
 numbers — the benchmark suite under ``benchmarks/`` owns those.
 
@@ -96,6 +98,32 @@ def probe_solve_local_search_mid() -> None:
     from repro.solvers.registry import get_solver
 
     get_solver("local_search", seed=7).solve(_mid_problem())
+
+
+@functools.lru_cache(maxsize=1)
+def _search_problem():
+    from repro.model.instances import topology_instance
+
+    return topology_instance(
+        family="random_geometric",
+        n_routers=80,
+        n_devices=150,
+        n_servers=8,
+        tightness=0.75,
+        seed=7,
+    )
+
+
+def probe_solve_tacc_search() -> None:
+    """One TACC solve (400 episodes) on a 150-device x 8-server instance.
+
+    Training is nearly all of it: 60,000 environment steps with the
+    Q-update and the Boltzmann explore.  The instance is built once
+    (during the warm-up run) and not timed.
+    """
+    from repro.solvers.registry import get_solver
+
+    get_solver("tacc", seed=7).solve(_search_problem())
 
 
 def probe_sim_short() -> None:
@@ -378,6 +406,7 @@ PROBES = {
     "solve_greedy": probe_solve_greedy,
     "solve_local_search": probe_solve_local_search,
     "solve_local_search_mid": probe_solve_local_search_mid,
+    "solve_tacc_search": probe_solve_tacc_search,
     "sim_short": probe_sim_short,
     "engine_grid": probe_engine_grid,
     "serve_loadtest_p99": probe_serve_loadtest_p99,

@@ -25,6 +25,9 @@ from :class:`~repro.rl.qlearning.QLearningSolver`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
+
 import numpy as np
 
 from repro.model.problem import AssignmentProblem
@@ -54,7 +57,9 @@ class TaccSolver(QLearningSolver):
         )
         self.polish = polish
         self.polish_passes = polish_passes
-        self._delay_preference: "np.ndarray | None" = None
+        # per-step rows of the current solve, in the env's device order
+        self._preference_rows: "list[list[float]]" = []
+        self._delay_rows: "list[list[float]]" = []
 
     def _make_env(self, problem: AssignmentProblem) -> AssignmentEnv:
         env = super()._make_env(problem)
@@ -64,29 +69,24 @@ class TaccSolver(QLearningSolver):
         logits = -norm / self.exploration_temperature
         logits -= logits.max(axis=1, keepdims=True)
         weights = np.exp(logits)
-        self._delay_preference = weights / weights.sum(axis=1, keepdims=True)
+        preference = weights / weights.sum(axis=1, keepdims=True)
+        self._preference_rows = preference[env.order].tolist()
+        self._delay_rows = problem.delay[env.order].tolist()
         return env
 
-    def _explore_action(self, env: AssignmentEnv, actions: np.ndarray, rng) -> int:
+    def _explore_action(self, env: AssignmentEnv, actions: tuple, rng) -> int:
         """Sample allowed servers proportionally to exp(-delay / T)."""
-        assert self._delay_preference is not None
-        weights = self._delay_preference[env.current_device, actions]
-        total = float(weights.sum())
-        if total <= 0:  # pragma: no cover - defensive
-            return int(actions[rng.integers(actions.size)])
-        return int(rng.choice(actions, p=weights / total))
+        row = self._preference_rows[env.t]
+        return boltzmann_choice(actions, [row[a] for a in actions], rng)
 
-    def _exploit_action(
-        self, env: AssignmentEnv, q_row: np.ndarray, actions: np.ndarray, rng
-    ) -> int:
+    def _exploit_action(self, env: AssignmentEnv, q_row: list, actions: tuple, rng) -> int:
         """Max-Q allowed action; ties broken by lowest routed delay."""
-        values = q_row[actions]
-        best = values.max()
-        tied = actions[values >= best - 1e-12]
-        if tied.size == 1:
-            return int(tied[0])
-        delays = env.problem.delay[env.current_device, tied]
-        return int(tied[int(np.argmin(delays))])
+        values = [q_row[a] for a in actions]
+        floor = max(values) - 1e-12
+        tied = [a for a, value in zip(actions, values) if value >= floor]
+        if len(tied) == 1:
+            return tied[0]
+        return min(tied, key=self._delay_rows[env.t].__getitem__)
 
     def _post_process(self, problem: AssignmentProblem, vector: np.ndarray) -> np.ndarray:
         if not self.polish:
@@ -109,3 +109,53 @@ def polish_assignment(
     vector = np.asarray(vector, dtype=np.int64).copy()
     descend(problem, vector, Assignment(problem, vector).loads(), max_passes)
     return vector
+
+
+def boltzmann_choice(actions: "tuple[int, ...]", weights: "list[float]", rng) -> int:
+    """Draw one of ``actions`` with probability proportional to ``weights``.
+
+    Bit for bit what ``rng.choice(actions, p=w / w.sum())`` returns for
+    ``w = np.array(weights)``, and the generator advances by the same
+    single ``rng.random()`` draw, without building an array: numpy's
+    sum, then ``Generator.choice``'s sequential cumulative sum of
+    ``w / total`` divided by its last entry, then a right-bisection of
+    the uniform draw.  When every weight underflowed to zero the draw
+    is uniform (one ``rng.integers`` call).
+    """
+    total = numpy_sum(weights)
+    if total <= 0:
+        return actions[rng.integers(len(actions))]
+    cdf = list(accumulate([weight / total for weight in weights]))
+    last = cdf[-1]
+    return actions[bisect_right([value / last for value in cdf], rng.random())]
+
+
+def numpy_sum(values: "list[float]") -> float:
+    """``np.sum`` of a float64 vector, reproduced with the same rounding.
+
+    numpy adds fewer than eight elements left to right; from eight on it
+    sums eight interleaved lanes and combines them pairwise, splitting
+    blocks longer than 128 in halves (``pairwise_sum`` in numpy's
+    ``loops_utils``).
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return numpy_sum(values[:half]) + numpy_sum(values[half:])
+    lanes = values[:8]
+    stop = n - n % 8
+    for start in range(8, stop, 8):
+        for lane in range(8):
+            lanes[lane] += values[start + lane]
+    total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
+        (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
+    )
+    for value in values[stop:]:
+        total += value
+    return total

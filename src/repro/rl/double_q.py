@@ -13,13 +13,9 @@ Interface and defaults match :class:`~repro.rl.qlearning.QLearningSolver`.
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
 from repro.model.problem import AssignmentProblem
 from repro.model.solution import Assignment
-from repro.rl.qlearning import QLearningSolver
+from repro.rl.qlearning import QLearningSolver, QTable, TrainingLog
 
 
 class DoubleQLearningSolver(QLearningSolver):
@@ -29,57 +25,43 @@ class DoubleQLearningSolver(QLearningSolver):
 
     def _solve(self, problem: AssignmentProblem, rng) -> tuple[Assignment, dict]:
         env = self._make_env(problem)
-        n_actions = env.n_actions
-        table_a: dict[tuple, np.ndarray] = {}
-        table_b: dict[tuple, np.ndarray] = {}
+        table_a, table_b = QTable(env.n_actions), QTable(env.n_actions)
+        log = TrainingLog(self, env.n_actions)
+        alpha, gamma = self.alpha, self.gamma
+        random, step = rng.random, env.step
+        explore, exploit = self._explore_action, self._exploit_action
 
-        def row(table: dict, state: tuple) -> np.ndarray:
-            entry = table.get(state)
-            if entry is None:
-                entry = np.zeros(n_actions)
-                table[state] = entry
-            return entry
+        with self.phase("train"):
+            for episode in range(self.episodes):
+                eps = log.start(episode)
+                state = env.reset()
+                while not env.done:
+                    actions = env.allowed
+                    if not actions:  # pragma: no cover - env ends episodes
+                        break
+                    log.blocked(len(actions))
+                    row_a, row_b = table_a.row(state), table_b.row(state)
+                    if random() < eps:
+                        action = explore(env, actions, rng)
+                    else:
+                        combined = [a + b for a, b in zip(row_a, row_b)]
+                        action = exploit(env, combined, actions, rng)
+                    next_state, reward, done, _ = step(action)
+                    # flip a coin: update one table using the other's estimate
+                    if random() < 0.5:
+                        learn, evaluate = table_a, table_b
+                    else:
+                        learn, evaluate = table_b, table_a
+                    if done:
+                        target = reward
+                    else:
+                        learn_next = learn.row(next_state)
+                        # select with the learning table, evaluate with the other
+                        chosen = max(env.allowed, key=learn_next.__getitem__)
+                        target = reward + gamma * evaluate.row(next_state)[chosen]
+                    learn_row = learn.row(state)
+                    learn_row[action] += alpha * (target - learn_row[action])
+                    state = next_state
+                log.finish(env)
 
-        best_cost = math.inf
-        best_vector: "np.ndarray | None" = None
-        episode_costs: list[float] = []
-        dead_ends = 0
-
-        for episode in range(self.episodes):
-            eps = float(self.epsilon(episode))
-            state = env.reset()
-            while not env.done:
-                actions = env.feasible_actions()
-                if actions.size == 0:  # pragma: no cover - env ends episodes
-                    break
-                combined = row(table_a, state) + row(table_b, state)
-                if rng.random() < eps:
-                    action = self._explore_action(env, actions, rng)
-                else:
-                    action = self._exploit_action(env, combined, actions, rng)
-                next_state, reward, done, _ = env.step(action)
-                # flip a coin: update one table using the other's estimate
-                update_a = rng.random() < 0.5
-                learn = table_a if update_a else table_b
-                evaluate = table_b if update_a else table_a
-                if done:
-                    target = reward
-                else:
-                    next_actions = env.feasible_actions()
-                    learn_next = row(learn, next_state)
-                    # select with the learning table, evaluate with the other
-                    chosen = int(next_actions[int(np.argmax(learn_next[next_actions]))])
-                    target = reward + self.gamma * float(row(evaluate, next_state)[chosen])
-                learn_row = row(learn, state)
-                learn_row[action] += self.alpha * (target - learn_row[action])
-                state = next_state
-            result = env.rollout_result()
-            if result.dead_end:
-                dead_ends += 1
-            episode_costs.append(result.total_delay if result.feasible else math.nan)
-            if result.feasible and result.total_delay < best_cost:
-                best_cost = result.total_delay
-                best_vector = result.vector
-
-        q_states = len(table_a) + len(table_b)
-        return self._outcome(problem, rng, best_vector, episode_costs, dead_ends, q_states)
+        return self._outcome(problem, rng, log, len(table_a) + len(table_b))

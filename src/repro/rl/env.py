@@ -10,7 +10,7 @@ Rewards are negative normalized delays, so maximizing return minimizes
 total communication delay; with ``gamma = 1`` the return of a complete
 episode is an affine function of the paper's objective.
 
-Feasibility masking (:meth:`AssignmentEnv.feasible_actions`) restricts
+Feasibility masking (:attr:`AssignmentEnv.allowed`) restricts
 the action set to servers with residual capacity, which is how the
 "none of the edge devices are overloaded" guarantee is enforced *by
 construction* rather than by penalty.  The T3 ablation turns masking
@@ -25,6 +25,8 @@ bucket count trades table size against aliasing and is also ablated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import le
 
 import numpy as np
 
@@ -46,7 +48,18 @@ class EpisodeResult:
 
 
 class AssignmentEnv:
-    """Sequential assignment environment over one problem instance."""
+    """Sequential assignment environment over one problem instance.
+
+    The episode state is plain Python: residual capacities and the
+    quantized state key are lists of floats and ints, and
+    :attr:`allowed` is the tuple of servers the current device may take
+    (every server when masking is off, empty at a dead end or once the
+    episode is done).  Per-step demand and normalized-delay rows are
+    precomputed in device order, so :meth:`step` does scalar work only.
+    The numpy views :attr:`residual`, :meth:`action_mask` and
+    :meth:`feasible_actions` are derived on demand and cached until the
+    next step; they are read-only.
+    """
 
     #: reward for hitting a dead end (episode cannot be completed)
     DEAD_END_REWARD = -10.0
@@ -74,7 +87,14 @@ class AssignmentEnv:
             "device_order must be a permutation of all devices",
         )
         self.order = order
-        self._norm_delay = problem.normalized_delay()
+        # row t belongs to the device placed at step t
+        self._devices: list[int] = order.tolist()
+        self._demand_rows: list[list[float]] = problem.demand[order].tolist()
+        self._norm_rows: list[list[float]] = problem.normalized_delay()[order].tolist()
+        self._capacity: list[float] = problem.capacity.tolist()
+        self._servers = tuple(range(problem.n_servers))
+        # scale of the mask-off overload penalty
+        self._mean_demand = float(np.mean(problem.demand))
         self.reset()
 
     # ------------------------------------------------------------------
@@ -92,33 +112,57 @@ class AssignmentEnv:
     def current_device(self) -> int:
         """The device being placed at this step (episode must be live)."""
         require(not self.done, "episode is finished; call reset()")
-        return int(self.order[self.t])
+        return self._devices[self.t]
 
     def reset(self) -> tuple:
         """Start a new episode; returns the initial tabular state key."""
         self.t = 0
-        self.residual = self.problem.capacity.copy()
+        self._residual = list(self._capacity)
+        # residual + 1e-12, the mask's admission limit, kept per server
+        self._limits = [capacity + 1e-12 for capacity in self._capacity]
         self.vector = np.full(self.problem.n_devices, -1, dtype=np.int64)
         self.done = False
         self.dead_end = False
-        self._actions: "np.ndarray | None" = None
-        self._buckets = [self._bucket(server) for server in range(self.n_actions)]
+        self._buckets = [self._bucket(server) for server in self._servers]
+        self._allow(0)
         return self.state_key()
 
+    def _allow(self, t: int) -> None:
+        """Set :attr:`allowed` for the device of step ``t``; drop cached views."""
+        if self.mask_infeasible:
+            self.allowed = tuple(
+                compress(self._servers, map(le, self._demand_rows[t], self._limits))
+            )
+        else:
+            self.allowed = self._servers
+        self._views: dict = {}
+
     # ------------------------------------------------------------------
+    @property
+    def residual(self) -> np.ndarray:
+        """Residual capacity per server (read-only array)."""
+        view = self._views.get("residual")
+        if view is None:
+            view = self._views["residual"] = _frozen(np.array(self._residual))
+        return view
+
     def action_mask(self) -> np.ndarray:
-        """Boolean mask of allowed servers for the current device."""
-        device = self.current_device
-        if not self.mask_infeasible:
-            return np.ones(self.n_actions, dtype=bool)
-        return self.problem.demand[device] <= self.residual + 1e-12
+        """Boolean mask of allowed servers for the current device (read-only)."""
+        require(not self.done, "episode is finished; call reset()")
+        mask = self._views.get("mask")
+        if mask is None:
+            mask = np.zeros(self.n_actions, dtype=bool)
+            mask[list(self.allowed)] = True
+            mask = self._views["mask"] = _frozen(mask)
+        return mask
 
     def feasible_actions(self) -> np.ndarray:
         """Indices of allowed servers (empty = dead end); read-only, once per step."""
-        if self._actions is None:
-            self._actions = self.action_mask().nonzero()[0]
-            self._actions.setflags(write=False)
-        return self._actions
+        require(not self.done, "episode is finished; call reset()")
+        actions = self._views.get("actions")
+        if actions is None:
+            actions = self._views["actions"] = _frozen(np.array(self.allowed, dtype=np.int64))
+        return actions
 
     def state_key(self) -> tuple:
         """Hashable abstract state: (step, quantized residual fractions).
@@ -133,10 +177,10 @@ class AssignmentEnv:
 
     def _bucket(self, server: int) -> int:
         """Quantized residual fraction of one server."""
-        capacity = self.problem.capacity[server]
+        capacity = self._capacity[server]
         if capacity <= 0:
             return 0  # a failed (zero-capacity) server reads as permanently full
-        fraction = min(max(self.residual[server] / capacity, 0.0), 1.0)
+        fraction = min(max(self._residual[server] / capacity, 0.0), 1.0)
         # an untouched server (fraction 1.0) lands in the top bucket, which
         # it shares with every fraction >= 1 - 1/load_buckets
         if fraction >= 1.0 - 1e-12:
@@ -149,37 +193,43 @@ class AssignmentEnv:
 
         Returns ``(next_state_key, reward, done, info)``.  Raises
         :class:`~repro.errors.ValidationError` for a masked action when
-        masking is on — agents must sample from
-        :meth:`feasible_actions`.
+        masking is on — agents must sample from :attr:`allowed`.
         """
-        require(not self.done, "episode is finished; call reset()")
-        require(0 <= action < self.n_actions, f"action {action} out of range")
-        device = self.current_device
-        demand = self.problem.demand[device, action]
-        overflow = max(0.0, demand - float(self.residual[action]))
-        if self.mask_infeasible and overflow > 1e-12:
-            raise ValidationError(
-                f"action {action} is masked for device {device} "
-                f"(demand {demand:.2f} > residual {self.residual[action]:.2f})"
-            )
-        reward = -float(self._norm_delay[device, action])
+        if self.done:
+            raise ValidationError("episode is finished; call reset()")
+        if not 0 <= action < len(self._servers):
+            raise ValidationError(f"action {action} out of range")
+        t = self.t
+        demand = self._demand_rows[t][action]
+        residual = self._residual
+        overflow = demand - residual[action]
+        reward = -self._norm_rows[t][action]
         if overflow > 1e-12:
-            reward -= self.overload_penalty * overflow / float(np.mean(self.problem.demand))
-        self.vector[device] = action
-        self.residual[action] -= demand
+            if self.mask_infeasible:
+                raise ValidationError(
+                    f"action {action} is masked for device {self._devices[t]} "
+                    f"(demand {demand:.2f} > residual {residual[action]:.2f})"
+                )
+            reward -= self.overload_penalty * overflow / self._mean_demand
+        self.vector[self._devices[t]] = action
+        residual[action] -= demand
+        self._limits[action] = residual[action] + 1e-12
         self._buckets[action] = self._bucket(action)
-        self._actions = None
-        self.t += 1
+        self.t = t = t + 1
         info: dict = {}
-        if self.t >= self.n_steps:
+        if t >= len(self._devices):
             self.done = True
-        elif self.mask_infeasible and self.feasible_actions().size == 0:
-            # next device fits nowhere: fail the episode
-            self.done = True
-            self.dead_end = True
-            reward += self.DEAD_END_REWARD
-            info["dead_end"] = True
-        return self.state_key(), reward, self.done, info
+            self.allowed = ()
+            self._views = {}
+        else:
+            self._allow(t)
+            if not self.allowed:
+                # next device fits nowhere: fail the episode
+                self.done = True
+                self.dead_end = True
+                reward += self.DEAD_END_REWARD
+                info["dead_end"] = True
+        return (t, tuple(self._buckets)), reward, self.done, info
 
     # ------------------------------------------------------------------
     def rollout_result(self) -> EpisodeResult:
@@ -201,3 +251,9 @@ class AssignmentEnv:
             steps=self.t,
             dead_end=self.dead_end,
         )
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """Mark ``array`` read-only and return it."""
+    array.setflags(write=False)
+    return array

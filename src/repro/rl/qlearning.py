@@ -105,15 +105,13 @@ class QLearningSolver(Solver):
             device_order=order,
         )
 
-    def _explore_action(self, env: AssignmentEnv, actions: np.ndarray, rng) -> int:
+    def _explore_action(self, env: AssignmentEnv, actions: tuple, rng) -> int:
         """Exploration move: uniform among allowed actions."""
-        return int(actions[rng.integers(actions.size)])
+        return actions[rng.integers(len(actions))]
 
-    def _exploit_action(
-        self, env: AssignmentEnv, q_row: np.ndarray, actions: np.ndarray, rng
-    ) -> int:
+    def _exploit_action(self, env: AssignmentEnv, q_row: list, actions: tuple, rng) -> int:
         """Greedy move: max-Q allowed action (first index on ties)."""
-        return int(actions[int(np.argmax(q_row[actions]))])
+        return max(actions, key=q_row.__getitem__)
 
     def _post_process(self, problem: AssignmentProblem, vector: np.ndarray) -> np.ndarray:
         """Optional polish of the incumbent (identity here)."""
@@ -122,82 +120,116 @@ class QLearningSolver(Solver):
     # ------------------------------------------------------------------
     def _solve(self, problem: AssignmentProblem, rng) -> tuple[Assignment, dict]:
         env = self._make_env(problem)
-        n_actions = env.n_actions
-        q_table: dict[tuple, np.ndarray] = {}
-
-        def q_row(state: tuple) -> np.ndarray:
-            """Return q row."""
-            row = q_table.get(state)
-            if row is None:
-                row = np.zeros(n_actions)
-                q_table[state] = row
-            return row
-
-        best_cost = math.inf
-        best_vector: "np.ndarray | None" = None
-        episode_costs: list[float] = []
-        dead_ends = 0
-
-        # episode telemetry: local instrument handles keep the training
-        # loop at one no-op attribute call per sample when obs is off
-        registry = obs_runtime.metrics()
-        labels = {"solver": self.name}
-        episodes_total = registry.counter(obs_names.RL_EPISODES, labels)
-        episode_cost_hist = registry.histogram(obs_names.RL_EPISODE_COST, labels)
-        epsilon_gauge = registry.gauge(obs_names.RL_EPSILON, labels)
-        mask_blocked = registry.counter(obs_names.RL_MASK_BLOCKED, labels)
-        dead_end_total = registry.counter(obs_names.RL_DEAD_ENDS, labels)
+        q_table = QTable(env.n_actions)
+        log = TrainingLog(self, env.n_actions)
+        alpha, gamma = self.alpha, self.gamma
+        random, step, q_row = rng.random, env.step, q_table.row
+        explore, exploit = self._explore_action, self._exploit_action
 
         with self.phase("train"):
             for episode in range(self.episodes):
-                eps = float(self.epsilon(episode))
-                epsilon_gauge.set(eps)
-                state = env.reset()
-                while not env.done:
-                    actions = env.feasible_actions()
-                    if actions.size == 0:  # pragma: no cover - env ends episodes itself
-                        break
-                    mask_blocked.inc(n_actions - actions.size)
-                    row = q_row(state)
-                    if rng.random() < eps:
-                        action = self._explore_action(env, actions, rng)
+                eps = log.start(episode)
+                row = q_row(env.reset())
+                actions = env.allowed
+                while actions:  # empty only when the first device fits nowhere
+                    log.blocked(len(actions))
+                    if random() < eps:
+                        action = explore(env, actions, rng)
                     else:
-                        action = self._exploit_action(env, row, actions, rng)
-                    next_state, reward, done, _ = env.step(action)
+                        action = exploit(env, row, actions, rng)
+                    next_state, reward, done, _ = step(action)
                     if done:
-                        target = reward
-                    else:
-                        next_actions = env.feasible_actions()
-                        next_row = q_row(next_state)
-                        target = reward + self.gamma * float(
-                            np.max(next_row[next_actions])
-                        )
-                    row[action] += self.alpha * (target - row[action])
-                    state = next_state
-                result = env.rollout_result()
-                episodes_total.inc()
-                if result.dead_end:
-                    dead_ends += 1
-                    dead_end_total.inc()
-                episode_costs.append(
-                    result.total_delay if result.feasible else math.nan
-                )
-                if result.feasible:
-                    episode_cost_hist.observe(result.total_delay)
-                    if result.total_delay < best_cost:
-                        best_cost = result.total_delay
-                        best_vector = result.vector
-
-        registry.gauge(obs_names.RL_Q_STATES, labels).set(len(q_table))
-        return self._outcome(problem, rng, best_vector, episode_costs, dead_ends, len(q_table))
+                        row[action] += alpha * (reward - row[action])
+                        break
+                    actions = env.allowed
+                    next_row = q_row(next_state)
+                    target = reward + gamma * max(map(next_row.__getitem__, actions))
+                    row[action] += alpha * (target - row[action])
+                    row = next_row
+                log.finish(env)
+        return self._outcome(problem, rng, log, len(q_table))
 
     def _outcome(
-        self, problem: AssignmentProblem, rng, best_vector, episode_costs, dead_ends, q_states
+        self, problem: AssignmentProblem, rng, log: "TrainingLog", q_states: int
     ) -> tuple[Assignment, dict]:
         """The polished best episode, or the feasible start when no episode was feasible."""
-        info = {"iterations": self.episodes, "episode_costs": episode_costs, "dead_ends": dead_ends}
-        if best_vector is None:
+        log.q_states(q_states)
+        info = {
+            "iterations": self.episodes,
+            "episode_costs": log.episode_costs,
+            "dead_ends": log.dead_ends,
+        }
+        if log.best_vector is None:
             return feasible_start(problem, rng), {**info, "fallback": True}
         with self.phase("polish"):
-            best_vector = self._post_process(problem, best_vector)
+            best_vector = self._post_process(problem, log.best_vector)
         return Assignment(problem, best_vector), {**info, "q_states": q_states}
+
+
+class QTable(dict):
+    """Tabular action values: state key -> list of per-server Q-values."""
+
+    def __init__(self, n_actions: int) -> None:
+        super().__init__()
+        self._zeros = [0.0] * n_actions
+
+    def row(self, state: tuple) -> list:
+        """The Q-row of ``state``, created as zeros on first visit."""
+        row = self.get(state)
+        if row is None:
+            row = self[state] = self._zeros.copy()
+        return row
+
+
+class TrainingLog:
+    """Episode bookkeeping shared by the Q-learning family's training loops.
+
+    Holds the best-episode memory, the per-episode cost curve (NaN for
+    infeasible episodes), the dead-end count, and the RL telemetry
+    handles.  The handles are fetched once per solve, so a training
+    step costs one no-op attribute call per sample when obs is off.
+    """
+
+    def __init__(self, solver: QLearningSolver, n_actions: int) -> None:
+        registry = obs_runtime.metrics()
+        labels = {"solver": solver.name}
+        self._schedule = solver.epsilon
+        self._n_actions = n_actions
+        self._episodes = registry.counter(obs_names.RL_EPISODES, labels)
+        self._episode_cost = registry.histogram(obs_names.RL_EPISODE_COST, labels)
+        self._epsilon = registry.gauge(obs_names.RL_EPSILON, labels)
+        self._mask_blocked = registry.counter(obs_names.RL_MASK_BLOCKED, labels)
+        self._dead_end_total = registry.counter(obs_names.RL_DEAD_ENDS, labels)
+        self._q_states = registry.gauge(obs_names.RL_Q_STATES, labels)
+        self.best_cost = math.inf
+        self.best_vector: "np.ndarray | None" = None
+        self.episode_costs: list[float] = []
+        self.dead_ends = 0
+
+    def start(self, episode: int) -> float:
+        """Exploration probability of ``episode`` (also streamed to the gauge)."""
+        eps = float(self._schedule(episode))
+        self._epsilon.set(eps)
+        return eps
+
+    def blocked(self, n_allowed: int) -> None:
+        """Count the servers the mask removed from one step's action set."""
+        self._mask_blocked.inc(self._n_actions - n_allowed)
+
+    def finish(self, env: AssignmentEnv) -> None:
+        """Record the finished episode; keep it when it is the best feasible one."""
+        result = env.rollout_result()
+        self._episodes.inc()
+        if result.dead_end:
+            self.dead_ends += 1
+            self._dead_end_total.inc()
+        self.episode_costs.append(result.total_delay if result.feasible else math.nan)
+        if result.feasible:
+            self._episode_cost.observe(result.total_delay)
+            if result.total_delay < self.best_cost:
+                self.best_cost = result.total_delay
+                self.best_vector = result.vector
+
+    def q_states(self, count: int) -> None:
+        """Stream the final Q-table size."""
+        self._q_states.set(count)

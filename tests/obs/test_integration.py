@@ -28,6 +28,28 @@ class TestSolverTelemetry:
         spans = session.spans()
         assert any(span.name == "solve/tacc" for span in spans)
 
+    @pytest.mark.parametrize("solver", ["sarsa", "double_q"])
+    def test_td_variants_record_training(self, small_problem, solver):
+        """SARSA and Double Q open a train phase and emit the episode
+        telemetry Q-learning does, without changing their result."""
+        plain = repro.get_solver(solver, episodes=25, seed=0).solve(small_problem)
+        with obs.observed() as session:
+            result = repro.get_solver(solver, episodes=25, seed=0).solve(small_problem)
+            snap = session.snapshot()
+        assert result.assignment == plain.assignment
+        assert result.extra == plain.extra
+        labels = f"{{solver={solver}}}"
+        assert snap["counters"][f"rl/episodes{labels}"] == 25
+        assert f"rl/mask_blocked_actions{labels}" in snap["counters"]
+        assert f"rl/dead_ends{labels}" in snap["counters"]
+        assert f"rl/epsilon{labels}" in snap["gauges"]
+        assert snap["histograms"][f"rl/episode_cost{labels}"]["count"] > 0
+        train = f"solver/phase_runtime_s{{phase=train,solver={solver}}}"
+        assert snap["timers"][train]["count"] == 1
+        spans = {span.name: span for span in session.spans()}
+        root = spans[f"solve/{solver}"]
+        assert spans[f"solve/{solver}/train"].parent_id == root.span_id
+
     def test_improvement_summary_attached_to_extra(self, small_problem):
         result = repro.TaccSolver(episodes=40, seed=0).solve(small_problem)
         summary = result.extra.get("objective_improvements")
