@@ -21,8 +21,8 @@ the one live object per task id: the server-side ``admit`` guard drops
 any object that is not the current live one, so a stale copy arriving
 late can neither be served twice nor clobber the timestamps of the
 attempt that succeeded.  Timeout events are cancelled on completion,
-so a cancelled timeout can never fire (:class:`~repro.sim.events.Event`
-supports cancellation).
+so a cancelled timeout can never fire (:class:`~repro.sim.engine.Event`
+is the cancellable handle).
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from repro.faults.policies import DISPATCH_MODES, RetryPolicy
 from repro.model.problem import AssignmentProblem
 from repro.obs import names as obs_names
 from repro.obs import runtime as obs_runtime
-from repro.sim.engine import Simulator
-from repro.sim.events import Event
+from repro.sim.engine import Event, Simulator
 from repro.sim.metrics import MetricsRecorder
 from repro.sim.network import NetworkFabric
 from repro.sim.server import EdgeServerQueue
@@ -60,6 +59,7 @@ class TaskDispatcher:
         mode: str = "retry",
         rng: "np.random.Generator | None" = None,
         delay_model: "TransmissionDelayModel | None" = None,
+        home_paths: "dict[tuple[int, int], Path] | None" = None,
     ) -> None:
         require(
             mode in DISPATCH_MODES,
@@ -90,7 +90,8 @@ class TaskDispatcher:
         #: last backoff drawn per task id (decorrelated jitter feeds on it)
         self._prev_backoff: dict[int, float] = {}
         self._timeout_events: dict[int, Event] = {}
-        self._paths: dict[tuple[int, int], Path] = {}
+        #: route cache by (device id, server index); starts with the home routes
+        self._paths: dict[tuple[int, int], Path] = dict(home_paths or {})
         self.tasks_lost = 0
         self.tasks_done = 0
         metrics = obs_runtime.metrics()
@@ -109,10 +110,6 @@ class TaskDispatcher:
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    def seed_path(self, device_id: int, server_index: int, path: Path) -> None:
-        """Pre-populate the route cache (the runner knows home paths)."""
-        self._paths[(device_id, server_index)] = path
-
     def _path(self, device_id: int, server_index: int) -> Path:
         key = (device_id, server_index)
         path = self._paths.get(key)

@@ -17,9 +17,7 @@ its own derived stream, so retries don't perturb arrivals either.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.errors import SimulationError, ValidationError
+from repro.errors import SimulationError
 from repro.faults.dispatch import TaskDispatcher
 from repro.faults.injector import FaultInjector
 from repro.faults.policies import RetryPolicy
@@ -27,16 +25,11 @@ from repro.faults.scenario import FaultScenario
 from repro.model.solution import Assignment
 from repro.obs import names as obs_names
 from repro.obs import runtime as obs_runtime
-from repro.sim.device import IoTTrafficSource
-from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsRecorder, SimReport
-from repro.sim.network import NetworkFabric
-from repro.sim.runner import device_paths
-from repro.sim.server import EdgeServerQueue
-from repro.topology.delay import TransmissionDelayModel
+from repro.sim.runner import _build_world, _finish, _start_sources
 from repro.utils.rng import derive_seed, make_rng
 from repro.utils.validation import check_nonnegative, check_positive, require
-from repro.workload.arrivals import ArrivalProcess, PoissonProcess
+from repro.workload.arrivals import ArrivalProcess
 from repro.workload.tasks import TaskFactory
 
 
@@ -74,13 +67,6 @@ def simulate_with_faults(
         When set, the report carries a per-creation-window goodput
         timeline (see :meth:`MetricsRecorder.goodput_timeline`).
     """
-    problem = assignment.problem
-    if problem.graph is None or problem.devices is None or problem.servers is None:
-        raise ValidationError(
-            "simulation requires a topology-backed problem (use topology_instance)"
-        )
-    if not assignment.is_complete:
-        raise ValidationError("cannot simulate a partial assignment")
     check_positive(duration_s, "duration_s")
     check_positive(rate_scale, "rate_scale")
     check_nonnegative(drain_s, "drain_s")
@@ -88,74 +74,35 @@ def simulate_with_faults(
     require(warmup_s < duration_s, "warmup_s must be shorter than duration_s")
     if policy is None:
         policy = RetryPolicy()
-
-    sim = Simulator()
-    recorder = MetricsRecorder(warmup_s=warmup_s, window_s=window_s)
-    fabric = NetworkFabric(
-        sim, problem.graph, rng=make_rng(derive_seed(seed, "fault-link-jitter"))
+    world = _build_world(
+        assignment,
+        MetricsRecorder(warmup_s=warmup_s, window_s=window_s),
+        seed,
+        service,
+        crash_policy=crash_policy,
+        fabric_rng=make_rng(derive_seed(seed, "fault-link-jitter")),
     )
-    delay_model = TransmissionDelayModel()
-
-    queues: list[EdgeServerQueue] = []
-    for server in problem.servers:
-        queues.append(
-            EdgeServerQueue(
-                sim,
-                server,
-                rng=make_rng(derive_seed(seed, "server", server.server_id)),
-                service=service,
-                crash_policy=crash_policy,
-            )
-        )
-
+    problem, recorder = world.problem, world.recorder
     dispatcher = TaskDispatcher(
-        sim=sim,
+        sim=world.sim,
         problem=problem,
-        queues=queues,
-        fabric=fabric,
+        queues=world.queues,
+        fabric=world.fabric,
         recorder=recorder,
         policy=policy,
         mode=mode,
         rng=make_rng(derive_seed(seed, "fault-dispatch")),
-        delay_model=delay_model,
+        home_paths={
+            (problem.devices[device].device_id, int(world.vector[device])): path
+            for device, path in world.paths.items()
+        },
     )
     injector = FaultInjector(
-        sim,
+        world.sim,
         scenario,
-        queues={index: queue for index, queue in enumerate(queues)},
-        fabric=fabric,
+        queues=dict(enumerate(world.queues)),
+        fabric=world.fabric,
     )
-
-    factory = task_factory if task_factory is not None else TaskFactory()
-    sources: list[IoTTrafficSource] = []
-    vector = assignment.vector
-    paths = device_paths(problem, vector, delay_model.link_weight)
-    for server_index, server in enumerate(problem.servers):
-        for device_index in np.flatnonzero(vector == server_index):
-            device = problem.devices[int(device_index)]
-            path = paths[int(device_index)]
-            dispatcher.seed_path(device.device_id, server_index, path)
-            process = (arrivals or {}).get(device.device_id) or PoissonProcess(
-                device.rate_hz * rate_scale
-            )
-            if arrivals and device.device_id in arrivals and rate_scale != 1.0:
-                process = arrivals[device.device_id]
-            sources.append(
-                IoTTrafficSource(
-                    sim=sim,
-                    device=device,
-                    server_id=server.server_id,
-                    path=path,
-                    fabric=fabric,
-                    server_queue=queues[server_index],
-                    arrivals=process,
-                    task_factory=factory,
-                    rng=make_rng(derive_seed(seed, "device", device.device_id)),
-                    horizon_s=duration_s,
-                    on_created=recorder.on_created,
-                    sink=dispatcher.sink_for(server_index),
-                )
-            )
 
     with obs_runtime.tracer().span(
         obs_names.SPAN_CHAOS,
@@ -163,12 +110,14 @@ def simulate_with_faults(
         fault_events=len(scenario),
         mode=mode,
         duration_s=duration_s,
-        sources=len(sources),
+        sources=len(world.paths),
     ):
         injector.arm()
-        for source in sources:
-            source.start()
-        sim.run(until=duration_s + drain_s)
+        _start_sources(
+            world, duration_s, seed, rate_scale, task_factory, arrivals,
+            sink_for=dispatcher.sink_for,
+        )
+        world.sim.run(until=duration_s + drain_s)
 
     accounted = (
         recorder.tasks_completed_total
@@ -181,17 +130,4 @@ def simulate_with_faults(
             f"completed={recorder.tasks_completed_total} + "
             f"lost={recorder.tasks_lost} + in_flight={dispatcher.tasks_in_flight}"
         )
-    registry = obs_runtime.metrics()
-    registry.counter(obs_names.SIM_TASKS_CREATED).inc(recorder.tasks_created)
-    registry.counter(obs_names.SIM_TASKS_COMPLETED).inc(recorder.tasks_completed_total)
-    utilizations = [q.utilization(duration_s) for q in queues]
-    if registry.enabled:
-        link_hist = registry.histogram(obs_names.SIM_LINK_UTILIZATION)
-        for value in fabric.link_utilization(duration_s).values():
-            link_hist.observe(value)
-        for queue, value in zip(queues, utilizations):
-            registry.gauge(
-                obs_names.SIM_SERVER_UTILIZATION,
-                {"server": str(queue.server.server_id)},
-            ).set(value)
-    return recorder.report(duration_s=duration_s, server_utilization=utilizations)
+    return _finish(world, duration_s)

@@ -62,6 +62,7 @@ class DoubleQLearningSolver(QLearningSolver):
                     learn_row = learn.row(state)
                     learn_row[action] += alpha * (target - learn_row[action])
                     state = next_state
-                log.finish(env)
+                if log.finish(env):
+                    break
 
         return self._outcome(problem, rng, log, len(table_a) + len(table_b))

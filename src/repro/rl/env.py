@@ -4,7 +4,9 @@ One *episode* builds one complete assignment: at step ``t`` the agent
 places device ``order[t]`` on a server; the episode ends when every
 device is placed (success) or the current device fits nowhere
 (dead end — only possible with masking on a pathologically tight
-instance, and heavily penalized).
+instance, and heavily penalized).  If even the first device fits
+nowhere, :meth:`AssignmentEnv.reset` returns an episode that is already
+dead-ended.
 
 Rewards are negative normalized delays, so maximizing return minimizes
 total communication delay; with ``gamma = 1`` the return of a complete
@@ -115,16 +117,20 @@ class AssignmentEnv:
         return self._devices[self.t]
 
     def reset(self) -> tuple:
-        """Start a new episode; returns the initial tabular state key."""
+        """Start a new episode; returns the initial tabular state key.
+
+        When the first device fits on no server the episode is over
+        before it starts: it comes back done and dead-ended, with no
+        allowed action.
+        """
         self.t = 0
         self._residual = list(self._capacity)
         # residual + 1e-12, the mask's admission limit, kept per server
         self._limits = [capacity + 1e-12 for capacity in self._capacity]
         self.vector = np.full(self.problem.n_devices, -1, dtype=np.int64)
-        self.done = False
-        self.dead_end = False
         self._buckets = [self._bucket(server) for server in self._servers]
         self._allow(0)
+        self.done = self.dead_end = not self.allowed
         return self.state_key()
 
     def _allow(self, t: int) -> None:

@@ -131,7 +131,7 @@ class QLearningSolver(Solver):
                 eps = log.start(episode)
                 row = q_row(env.reset())
                 actions = env.allowed
-                while actions:  # empty only when the first device fits nowhere
+                while actions:  # empty only when reset dead-ended the episode
                     log.blocked(len(actions))
                     if random() < eps:
                         action = explore(env, actions, rng)
@@ -146,7 +146,8 @@ class QLearningSolver(Solver):
                     target = reward + gamma * max(map(next_row.__getitem__, actions))
                     row[action] += alpha * (target - row[action])
                     row = next_row
-                log.finish(env)
+                if log.finish(env):
+                    break
         return self._outcome(problem, rng, log, len(q_table))
 
     def _outcome(
@@ -216,8 +217,12 @@ class TrainingLog:
         """Count the servers the mask removed from one step's action set."""
         self._mask_blocked.inc(self._n_actions - n_allowed)
 
-    def finish(self, env: AssignmentEnv) -> None:
-        """Record the finished episode; keep it when it is the best feasible one."""
+    def finish(self, env: AssignmentEnv) -> bool:
+        """Record the finished episode; keep it when it is the best feasible one.
+
+        Returns True when training should stop: the episode dead-ended
+        at its first device, so every later episode would too.
+        """
         result = env.rollout_result()
         self._episodes.inc()
         if result.dead_end:
@@ -229,6 +234,7 @@ class TrainingLog:
             if result.total_delay < self.best_cost:
                 self.best_cost = result.total_delay
                 self.best_vector = result.vector
+        return result.steps == 0
 
     def q_states(self, count: int) -> None:
         """Stream the final Q-table size."""

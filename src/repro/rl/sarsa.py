@@ -41,11 +41,9 @@ class SarsaSolver(QLearningSolver):
             for episode in range(self.episodes):
                 eps = log.start(episode)
                 state = env.reset()
-                actions = env.allowed
-                if not actions:  # the first device fits nowhere: nothing to learn
-                    break
-                action = choose(state, actions, eps)
-                while True:
+                if not env.done:  # done here: the first device fits nowhere
+                    action = choose(state, env.allowed, eps)
+                while not env.done:
                     next_state, reward, done, _ = step(action)
                     if done:
                         row = q_row(state)
@@ -57,6 +55,7 @@ class SarsaSolver(QLearningSolver):
                     row = q_row(state)
                     row[action] += alpha * (target - row[action])
                     state, action = next_state, next_action
-                log.finish(env)
+                if log.finish(env):
+                    break
 
         return self._outcome(problem, rng, log, len(q_table))

@@ -28,8 +28,7 @@ import numpy as np
 from repro.model.entities import EdgeServer
 from repro.obs import names as obs_names
 from repro.obs import runtime as obs_runtime
-from repro.sim.engine import Simulator
-from repro.sim.events import Event
+from repro.sim.engine import Event, Simulator
 from repro.sim.task import Task
 from repro.utils.validation import check_positive, require
 

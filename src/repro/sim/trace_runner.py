@@ -12,14 +12,9 @@ from __future__ import annotations
 
 from repro.errors import ValidationError
 from repro.model.solution import Assignment
-from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsRecorder, SimReport
-from repro.sim.network import NetworkFabric
-from repro.sim.runner import device_paths
-from repro.sim.server import EdgeServerQueue
+from repro.sim.runner import _build_world, _finish
 from repro.sim.task import Task
-from repro.topology.delay import TransmissionDelayModel
-from repro.utils.rng import derive_seed, make_rng
 from repro.utils.validation import check_nonnegative
 from repro.workload.traces import Trace
 
@@ -38,12 +33,9 @@ def replay_trace(
     two assignments exactly paired.  ``seed`` only matters with
     ``service="exponential"``.
     """
-    problem = assignment.problem
-    if problem.graph is None or problem.devices is None or problem.servers is None:
-        raise ValidationError("trace replay requires a topology-backed problem")
-    if not assignment.is_complete:
-        raise ValidationError("cannot replay a trace over a partial assignment")
     check_nonnegative(drain_s, "drain_s")
+    world = _build_world(assignment, MetricsRecorder(), seed, service)
+    problem, recorder, fabric = world.problem, world.recorder, world.fabric
     device_by_id = {d.device_id: d for d in problem.devices}
     for entry in trace.entries:
         if entry.device_id not in device_by_id:
@@ -51,29 +43,9 @@ def replay_trace(
                 f"trace references unknown device {entry.device_id}"
             )
 
-    sim = Simulator()
-    recorder = MetricsRecorder()
-    fabric = NetworkFabric(sim, problem.graph)
-    delay_model = TransmissionDelayModel()
-
-    queues: list[EdgeServerQueue] = []
-    for server in problem.servers:
-        queues.append(
-            EdgeServerQueue(
-                sim,
-                server,
-                rng=make_rng(derive_seed(seed, "server", server.server_id)),
-                service=service,
-                on_complete=recorder.on_completed,
-            )
-        )
-
-    vector = assignment.vector
-    paths = device_paths(problem, vector, delay_model.link_weight)
-
     for task_id, entry in enumerate(trace.entries):
         device = device_by_id[entry.device_id]
-        server_index = int(vector[device.device_id])
+        server_index = int(world.vector[device.device_id])
         task = Task(
             task_id=task_id,
             device_id=device.device_id,
@@ -83,21 +55,18 @@ def replay_trace(
             created_at=entry.time_s,
             deadline_s=device.deadline_s,
         )
-        queue = queues[server_index]
-        path = paths[device.device_id]
+        queue = world.queues[server_index]
+        path = world.paths[device.device_id]
 
         def launch(task=task, path=path, queue=queue) -> None:
-            """Return launch."""
+            """Count the task as created and send it toward its server."""
             recorder.on_created(task)
             fabric.forward(task, path, queue.submit)
 
-        sim.schedule_at(entry.time_s, launch)
+        world.sim.schedule_at(entry.time_s, launch)
 
-    sim.run(until=trace.horizon_s + drain_s)
-    return recorder.report(
-        duration_s=trace.horizon_s,
-        server_utilization=[q.utilization(trace.horizon_s) for q in queues],
-    )
+    world.sim.run(until=trace.horizon_s + drain_s)
+    return _finish(world, trace.horizon_s)
 
 
 def paired_comparison(

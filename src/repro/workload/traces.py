@@ -10,6 +10,7 @@ runs), and the JSON-lines format makes traces shareable artifacts.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path as FilePath
 
@@ -69,23 +70,43 @@ class Trace:
 
     @classmethod
     def load(cls, path: "str | FilePath") -> "Trace":
-        """Inverse of :meth:`save`."""
+        """Inverse of :meth:`save`.
+
+        Raises :class:`~repro.errors.SerializationError` for a malformed
+        file, and for values the simulator cannot replay: a non-finite
+        or non-positive ``horizon_s``, a non-finite or negative arrival
+        time ``t``, or a non-finite or non-positive size ``b`` or
+        compute ``c``.
+        """
         path = FilePath(path)
         try:
             with path.open("r", encoding="utf-8") as handle:
-                header = json.loads(handle.readline())
-                entries = [
-                    TraceEntry(
+                horizon_s = float(json.loads(handle.readline())["horizon_s"])
+                _check(horizon_s, horizon_s > 0, "horizon_s must be finite and > 0")
+                entries = []
+                for line, record in enumerate(map(json.loads, handle), start=2):
+                    entry = TraceEntry(
                         time_s=float(record["t"]),
                         device_id=int(record["d"]),
                         size_bits=float(record["b"]),
                         compute_units=float(record["c"]),
                     )
-                    for record in map(json.loads, handle)
-                ]
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                    _check(entry.time_s, entry.time_s >= 0,
+                           f"line {line}: t must be finite and >= 0")
+                    _check(entry.size_bits, entry.size_bits > 0,
+                           f"line {line}: b must be finite and > 0")
+                    _check(entry.compute_units, entry.compute_units > 0,
+                           f"line {line}: c must be finite and > 0")
+                    entries.append(entry)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise SerializationError(f"invalid trace file {path}: {exc}") from exc
-        return cls(horizon_s=float(header["horizon_s"]), entries=entries)
+        return cls(horizon_s=horizon_s, entries=entries)
+
+
+def _check(value: float, in_range: bool, message: str) -> None:
+    """Reject a trace value that is out of range or not finite."""
+    if not (in_range and math.isfinite(value)):
+        raise ValueError(f"{message}, got {value!r}")
 
 
 def generate_trace(

@@ -10,6 +10,8 @@ import repro
 from repro import obs
 from repro.cli.main import main as cli_main
 from repro.obs import names
+from repro.sim.trace_runner import replay_trace
+from repro.workload.traces import generate_trace
 
 
 class TestSolverTelemetry:
@@ -89,6 +91,22 @@ class TestSimTelemetry:
         with obs.observed() as session:
             repro.simulate_assignment(result.assignment, duration_s=3.0, seed=1)
             snap = session.snapshot()
+        assert snap["histograms"][names.SIM_LINK_UTILIZATION]["count"] > 0
+        gauges = [
+            key
+            for key in snap["gauges"]
+            if key.startswith(names.SIM_SERVER_UTILIZATION)
+        ]
+        assert len(gauges) == topo_problem.n_servers
+
+    def test_trace_replay_emits_task_and_utilization_metrics(self, topo_problem):
+        result = repro.get_solver("greedy").solve(topo_problem)
+        trace = generate_trace(topo_problem.devices, horizon_s=3.0, seed=1)
+        with obs.observed() as session:
+            report = replay_trace(result.assignment, trace)
+            snap = session.snapshot()
+        assert snap["counters"][names.SIM_TASKS_CREATED] == trace.n_entries
+        assert snap["counters"][names.SIM_TASKS_COMPLETED] == report.tasks_completed
         assert snap["histograms"][names.SIM_LINK_UTILIZATION]["count"] > 0
         gauges = [
             key

@@ -122,6 +122,18 @@ class TestMasking:
         assert result.dead_end
         assert not result.feasible
 
+    def test_first_device_fitting_nowhere_dead_ends_at_reset(self):
+        problem = AssignmentProblem(
+            delay=[[1.0, 1.0], [1.0, 1.0]],
+            demand=[[9.0, 9.0], [1.0, 1.0]],
+            capacity=[8.0, 5.0],
+        )
+        env = AssignmentEnv(problem, device_order=[0, 1])
+        assert env.reset() == (0, (3, 3))
+        assert env.done and env.dead_end and env.allowed == ()
+        result = env.rollout_result()
+        assert result.dead_end and result.steps == 0 and not result.feasible
+
 
 class TestRewards:
     def test_rewards_are_negative_normalized_delay(self, small_problem):

@@ -1,4 +1,4 @@
-"""Tests for the event queue and simulation engine."""
+"""Tests for the simulation engine and its event heap."""
 
 from __future__ import annotations
 
@@ -7,67 +7,80 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError, ValidationError
-from repro.sim.engine import Simulator
-from repro.sim.events import EventQueue
+from repro.sim.engine import Event, Simulator
 
 
 class TestEventQueue:
+    """The event heap's contract, observed through :class:`Simulator`."""
+
     def test_pops_in_time_order(self):
-        queue = EventQueue()
+        sim = Simulator()
         fired = []
-        queue.push(2.0, lambda: fired.append("b"))
-        queue.push(1.0, lambda: fired.append("a"))
-        queue.push(3.0, lambda: fired.append("c"))
-        while queue:
-            queue.pop().callback()
+        sim.schedule_at(2.0, lambda: fired.append("b"))
+        sim.schedule_at(1.0, lambda: fired.append("a"))
+        sim.schedule_at(3.0, lambda: fired.append("c"))
+        sim.run()
         assert fired == ["a", "b", "c"]
 
     def test_ties_fire_in_scheduling_order(self):
-        queue = EventQueue()
+        sim = Simulator()
         fired = []
         for label in "abc":
-            queue.push(1.0, lambda l=label: fired.append(l))
-        while queue:
-            queue.pop().callback()
+            sim.schedule_at(1.0, lambda l=label: fired.append(l))
+        sim.run()
         assert fired == ["a", "b", "c"]
 
     def test_cancelled_events_skipped(self):
-        queue = EventQueue()
+        sim = Simulator()
         fired = []
-        event = queue.push(1.0, lambda: fired.append("x"))
-        queue.push(2.0, lambda: fired.append("y"))
+        event = sim.schedule_at(1.0, lambda: fired.append("x"))
+        sim.schedule_at(2.0, lambda: fired.append("y"))
         event.cancel()
-        while queue:
-            queue.pop().callback()
+        sim.run()
         assert fired == ["y"]
 
-    def test_pop_empty_raises(self):
-        with pytest.raises(SimulationError):
-            EventQueue().pop()
+    def test_empty_run_fires_nothing(self):
+        sim = Simulator()
+        sim.run()
+        assert sim.now == 0.0
+        assert sim.events_processed == 0
 
     def test_len_ignores_cancelled(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        event.cancel()
-        assert len(queue) == 1
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None).cancel()
+        sim.schedule_at(2.0, lambda: None)
+        sim.schedule_at(3.0, lambda: None).cancel()
+        sim.run()
+        assert sim.events_processed == 1
+        assert sim.now == 2.0  # cancelled events neither fire nor move the clock
 
     def test_peek_time(self):
-        queue = EventQueue()
-        assert queue.peek_time() is None
-        queue.push(5.0, lambda: None)
-        assert queue.peek_time() == 5.0
+        """The earliest live event decides whether ``run(until)`` fires anything."""
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(5.0, lambda: fired.append(5.0))
+        sim.run(until=4.999)
+        assert fired == [] and sim.now == 4.999
+        sim.run(until=5.0)
+        assert fired == [5.0] and sim.now == 5.0
+
+    def test_event_handle(self):
+        sim = Simulator()
+        event = sim.schedule(1.5, lambda: None)
+        assert isinstance(event, Event)
+        assert event.time == 1.5 and not event.cancelled
+        event.cancel()
+        assert event.cancelled
 
     @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=100))
     @settings(max_examples=30, deadline=None)
     def test_property_pop_order_is_sorted(self, times):
-        queue = EventQueue()
+        sim = Simulator()
+        fired = []
         for t in times:
-            queue.push(t, lambda: None)
-        popped = []
-        while queue:
-            popped.append(queue.pop().time)
-        assert popped == sorted(times)
+            sim.schedule_at(t, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == sorted(times)
 
 
 class TestSimulator:
@@ -113,6 +126,20 @@ class TestSimulator:
     def test_negative_delay_rejected(self):
         with pytest.raises(ValidationError):
             Simulator().schedule(-1.0, lambda: None)
+
+    @pytest.mark.parametrize("delay", [float("inf"), float("nan"), -1e-9])
+    def test_non_finite_or_negative_delay_rejected(self, delay):
+        sim = Simulator()
+        with pytest.raises(ValidationError, match="delay"):
+            sim.schedule(delay, lambda: None)
+
+    @pytest.mark.parametrize("time", [float("inf"), float("nan")])
+    def test_schedule_at_non_finite_rejected(self, time):
+        sim = Simulator()
+        with pytest.raises(ValidationError, match="finite"):
+            sim.schedule_at(time, lambda: None)
+        sim.run()
+        assert sim.now == 0.0
 
     def test_schedule_at_past_rejected(self):
         sim = Simulator()

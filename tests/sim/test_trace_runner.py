@@ -55,6 +55,19 @@ class TestReplayTrace:
         with pytest.raises(ValidationError, match="unknown device"):
             replay_trace(good, rogue)
 
+    @pytest.mark.parametrize("time_s", [float("inf"), float("nan")])
+    def test_non_finite_entry_time_rejected(self, setup, time_s):
+        problem, _, good, _ = setup
+        from repro.workload.traces import Trace, TraceEntry
+
+        trace = Trace(
+            horizon_s=1.0,
+            entries=[TraceEntry(time_s=time_s, device_id=0, size_bits=1e3,
+                                compute_units=1.0)],
+        )
+        with pytest.raises(ValidationError, match="finite"):
+            replay_trace(good, trace)
+
     def test_matrix_problem_rejected(self, small_problem, setup):
         _, trace, _, _ = setup
         from repro.solvers.greedy import greedy_feasible_assignment

@@ -114,3 +114,23 @@ class TestTracePersistence:
         path.write_text('{"horizon_s": 1.0}\nnot json\n')
         with pytest.raises(SerializationError):
             Trace.load(path)
+
+    @pytest.mark.parametrize(
+        "header, record",
+        [
+            ('{"horizon_s": 1.0}', '{"t": Infinity, "d": 0, "b": 1e3, "c": 1.0}'),
+            ('{"horizon_s": 1.0}', '{"t": NaN, "d": 0, "b": 1e3, "c": 1.0}'),
+            ('{"horizon_s": 1.0}', '{"t": -0.5, "d": 0, "b": 1e3, "c": 1.0}'),
+            ('{"horizon_s": 1.0}', '{"t": 0.5, "d": 0, "b": 0.0, "c": 1.0}'),
+            ('{"horizon_s": 1.0}', '{"t": 0.5, "d": 0, "b": Infinity, "c": 1.0}'),
+            ('{"horizon_s": 1.0}', '{"t": 0.5, "d": 0, "b": 1e3, "c": -1.0}'),
+            ('{"horizon_s": 1.0}', '{"t": 0.5, "d": 0, "b": 1e3, "c": NaN}'),
+            ('{"horizon_s": 0.0}', '{"t": 0.5, "d": 0, "b": 1e3, "c": 1.0}'),
+            ('{"horizon_s": Infinity}', '{"t": 0.5, "d": 0, "b": 1e3, "c": 1.0}'),
+        ],
+    )
+    def test_unreplayable_values_rejected(self, tmp_path, header, record):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f"{header}\n{record}\n")
+        with pytest.raises(SerializationError):
+            Trace.load(path)
